@@ -231,3 +231,7 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> None:
     config = parse_args(sys.argv[1:] if argv is None else argv)
     sys.exit(run(config))
+
+
+if __name__ == "__main__":
+    main()

@@ -107,7 +107,10 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
     Rows are lines; entries are whitespace- or comma-separated (detected from
     the first data line). Scientific notation is accepted.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read as text: {exc}") from exc
     lines = [(k + 1, ln) for k, ln in enumerate(text.splitlines()) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: file contains no data")

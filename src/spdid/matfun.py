@@ -29,11 +29,9 @@ class Spectrum:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first nonzero component is positive."""
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
+    first = np.argmax(out != 0, axis=0)  # 0 for an all-zero column, never flipped
+    flip = out[first, np.arange(out.shape[1])] < 0
+    out[:, flip] = -out[:, flip]
     return out
 
 

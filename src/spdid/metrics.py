@@ -19,10 +19,15 @@ Riemannian-geometry formulations; bw is the 2-Wasserstein distance between
 centered Gaussians; alpha_pro and alpha_z are the alpha-Procrustes and
 alpha-z Bures-Wasserstein families. alpha_z is a divergence, not a metric:
 it is generally asymmetric in (A, B).
+
+At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
+tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, an O(n^2)
+entrywise product of two powers that are cached once per matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -59,6 +64,15 @@ def euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(np.linalg.norm(a.entries - b.entries))
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only strict-upper-triangle indices of order n, built once per order."""
+    iu = np.triu_indices(n, k=1)
+    for ix in iu:
+        ix.setflags(write=False)
+    return iu
+
+
 def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     """One minus the Pearson correlation of the strict upper triangles.
 
@@ -68,7 +82,7 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     _same_order(a, b)
     if a.n < 3:
         raise DegenerateVariance(f"pearson needs order >= 3, got {a.n}")
-    iu = np.triu_indices(a.n, k=1)
+    iu = _upper_indices(a.n)
     x = a.entries[iu]
     y = b.entries[iu]
     xc = x - x.mean()
@@ -91,7 +105,10 @@ def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
 def _inner_eigenvalues(m: np.ndarray, scale: float) -> np.ndarray:
     """Eigenvalues of a symmetrized product that is PSD up to round-off."""
     sym = (m + m.T) / 2.0
-    lam = np.linalg.eigvalsh(sym)
+    try:
+        lam = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigvalsh failed on inner product: {exc}") from exc
     if lam[0] < -1e-8 * (1.0 + scale):
         raise NumericalError(
             f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
@@ -120,7 +137,10 @@ def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     isq = sym_inv_sqrt(a).entries
     inner = isq @ b.entries @ isq
     sym = (inner + inner.T) / 2.0
-    lam = np.linalg.eigvalsh(sym)
+    try:
+        lam = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigvalsh failed on whitened product: {exc}") from exc
     if lam[0] <= 0.0:
         raise NumericalError(
             f"whitened product lost positive definiteness (eigenvalue {lam[0]:.6g})"
@@ -157,11 +177,25 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     return bures_wasserstein(sym_pow(a, 2.0 * alpha), sym_pow(b, 2.0 * alpha)) / alpha
 
 
+def alpha_z_exponents(alpha: float, z: float) -> tuple[float, float]:
+    """Exponents (p, g) of the cached powers A^p and B^g that alpha_z(A, B) reads."""
+    if z == 1.0:
+        return 1.0 - alpha, alpha
+    return (1.0 - alpha) / z, alpha / (2.0 * z)
+
+
 def _alpha_z_raw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
-    bp = sym_pow(b, alpha / (2.0 * z)).entries
-    ap = sym_pow(a, (1.0 - alpha) / z).entries
-    lam = _inner_eigenvalues(bp @ ap @ bp, a.trace + b.trace)
-    q = float(np.sum(lam ** z))
+    p, g = alpha_z_exponents(alpha, z)
+    ap = sym_pow(a, p).entries
+    bp = sym_pow(b, g).entries
+    if z == 1.0:
+        # tr Q = <A^{1-a}, B^a>_F; the trace of a product of SPD matrices is > 0
+        q = float(np.sum(ap * bp))
+        if not (np.isfinite(q) and q > 0.0):
+            raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
+    else:
+        lam = _inner_eigenvalues(bp @ ap @ bp, a.trace + b.trace)
+        q = float(np.sum(lam ** z))
     return (1.0 - alpha) * a.trace + alpha * b.trace - q
 
 
@@ -169,8 +203,10 @@ def alpha_z_bw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
     """Alpha-z Bures-Wasserstein divergence. Asymmetric in (A, B).
 
     tr((1-a) A + a B) - tr Q with Q = (B^{a/2z} A^{(1-a)/z} B^{a/2z})^z.
-    Nonnegativity is guaranteed for z >= max(alpha, 1-alpha); outside that
-    region a warning is emitted.
+    At z = 1, tr Q is evaluated as the Frobenius inner product
+    <A^{1-a}, B^a>_F; for z < 1 it is the sum of the z-th powers of the
+    eigenvalues of the inner product. Nonnegativity is guaranteed for
+    z >= max(alpha, 1-alpha); outside that region a warning is emitted.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DimensionMismatch, InvalidParameter, MetricSpec, SpdError, SpdMatrix
 from .matfun import eig_sym, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
-from .metrics import dispatch
+from .metrics import alpha_z_exponents, dispatch
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,11 @@ def _warm_caches(spec: MetricSpec, probe: Sequence[SpdMatrix], gallery: Sequence
         for m in gallery:
             sym_pow(m, 2.0 * spec.alpha)
     elif spec.kind == "alpha_z":
+        p, g = alpha_z_exponents(spec.alpha, spec.z)
         for m in probe:
-            sym_pow(m, (1.0 - spec.alpha) / spec.z)
+            sym_pow(m, p)
         for m in gallery:
-            sym_pow(m, spec.alpha / (2.0 * spec.z))
+            sym_pow(m, g)
 
 
 def cross_distances(

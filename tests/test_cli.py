@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdid
 from spdid import MetricSpec, generate_synthetic_cohort, save_matrix
 from spdid.cli import parse_args, read_distance_csv, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
@@ -174,6 +178,37 @@ class TestRun:
         assert "1.000" in captured.out  # res=8 still ran
         assert "99" in captured.err
 
+    @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+    def test_unreadable_file_fails_only_its_resolution(self, tmp_path, capsys, kind):
+        write_cohort(tmp_path / "data", res=8)
+        write_cohort(tmp_path / "data", res=5)
+        bad = tmp_path / "data" / "s003" / "REST_RL_5.txt"
+        bad.unlink()
+        if kind == "non_utf8":
+            bad.write_bytes(b"\xff\xfe\x00\x81\n")
+        else:
+            bad.mkdir()
+        out = tmp_path / "out"
+        cfg = parse_args(
+            [
+                "--base-path", str(tmp_path / "data"),
+                "--tasks", "REST",
+                "--scan-types", "LR", "RL",
+                "--resolutions", "5", "8",
+                "--metric", "alpha_z",
+                "--tau", "0.0",
+                "--num-subjects", "6",
+                "--out-dir", str(out),
+            ]
+        )
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert "error: REST/5: ParseError" in err and "REST_RL_5.txt" in err
+        assert not (out / "REST_5").exists()
+        assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
+            "D12.csv", "D21.csv", "report.json",
+        ]
+
     def test_subject_intersection_warns(self, tmp_path, capsys):
         write_cohort(tmp_path / "data")
         # subject with only one scan direction must be dropped with a warning
@@ -195,3 +230,14 @@ class TestRun:
             assert run(parse_args(base_argv(tmp_path / "data", out, metric=metric, n=8))) == 0
             means[metric] = json.loads((out / "REST_8" / "report.json").read_text())["mean"]
         assert means["pearson"] < means["alpha_z"]
+
+
+@pytest.mark.parametrize("module", ["spdid", "spdid.cli"])
+def test_python_dash_m_prints_usage(module):
+    src = str(Path(spdid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: spd-id")

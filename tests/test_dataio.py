@@ -89,6 +89,22 @@ class TestLoadMatrix:
         with pytest.raises(ParseError):
             load_matrix(p)
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"\xff\xfe\x00\x81 1 2\n")
+        with pytest.raises(ParseError, match="m.txt"):
+            load_matrix(p)
+
+    def test_directory_path(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.mkdir()
+        with pytest.raises(ParseError, match="m.txt"):
+            load_matrix(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError, match="absent.txt"):
+            load_matrix(tmp_path / "absent.txt")
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         g = rng.standard_normal((7, 7))

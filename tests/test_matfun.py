@@ -3,6 +3,7 @@ import pytest
 
 from spdid import eig_sym, sym_fn, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt, validate_spd
 from spdid.core import DomainError
+from spdid.matfun import _fix_signs
 from support import random_orthogonal, random_spd
 
 
@@ -134,3 +135,37 @@ def test_power_cache_returns_same_object():
     a = random_spd(rng, 6)
     assert sym_pow(a, 0.5) is sym_pow(a, 0.5)
     assert eig_sym(a) is eig_sym(a)
+
+
+def _fix_signs_loop(vectors):
+    """Column-by-column reference for the vectorized sign fix."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        nz = np.flatnonzero(col)
+        if nz.size and col[nz[0]] < 0:
+            out[:, k] = -col
+    return out
+
+
+def test_fix_signs_matches_column_loop_bitwise():
+    rng = np.random.default_rng(13)
+    perm = np.eye(5)[[3, 0, 4, 1, 2]]
+    block = np.zeros((6, 6))
+    block[:3, :3] = random_orthogonal(rng, 3)
+    block[3:, 3:] = random_orthogonal(rng, 3)
+    g = rng.standard_normal((7, 7))
+    cases = [
+        -np.eye(4),
+        perm * np.array([1.0, -1.0, -1.0, 1.0, -1.0]),
+        block,
+        np.linalg.eigh(block @ np.diag(np.arange(1.0, 7.0)) @ block.T)[1],
+        np.linalg.eigh(g + g.T)[1],
+        np.zeros((3, 3)),
+        np.array([[0.0, -0.0], [-2.0, 0.0]]),
+    ]
+    for vec in cases:
+        got = _fix_signs(vec)
+        want = _fix_signs_loop(vec)
+        assert got.tobytes() == want.tobytes()  # also pins the sign of zeros
+        assert got.flags.c_contiguous

@@ -1,23 +1,34 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdid import (
+    DistanceMatrix,
     MetricSpec,
     affine_invariant,
     alpha_procrustes,
     alpha_z_bw,
+    both_directions,
     bures_wasserstein,
     dispatch,
     euclid,
+    generate_synthetic_cohort,
+    id_report,
     log_euclid,
+    nearest_match_table,
     pearson_dist,
     sym_pow,
     validate_spd,
 )
+from spdid import metrics
 from spdid.core import (
     DegenerateVariance,
     DimensionMismatch,
     InvalidParameter,
+    NumericalError,
 )
 from support import random_orthogonal, random_spd
 
@@ -78,6 +89,16 @@ class TestPearson:
     def test_too_small_order_rejected(self):
         with pytest.raises(DegenerateVariance):
             pearson_dist(spd([[2, 1], [1, 2]]), spd(np.eye(2)))
+
+    def test_matches_uncached_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 7, 7, 12):
+            a, b = random_spd(rng, n), random_spd(rng, n)
+            iu = np.triu_indices(n, k=1)
+            x = a.entries[iu] - a.entries[iu].mean()
+            y = b.entries[iu] - b.entries[iu].mean()
+            r = float(x @ y) / (float(np.sqrt(x @ x)) * float(np.sqrt(y @ y)))
+            assert pearson_dist(a, b) == 1.0 - min(1.0, max(-1.0, r))
 
 
 class TestLogEuclid:
@@ -195,6 +216,92 @@ class TestAlphaZ:
             alpha_z_bw(a, a, 0.0, 1.0)
         with pytest.raises(InvalidParameter):
             alpha_z_bw(a, a, 0.5, 1.5)
+
+
+def _eig_power(m, p):
+    lam, vec = np.linalg.eigh(m)
+    return (vec * lam**p) @ vec.T
+
+
+def _alpha_z1_eigenvalue_form(a, b, alpha):
+    """tr((1-a) A + a B) - sum of eig(B^{a/2} A^{1-a} B^{a/2}), from numpy eigh."""
+    bh = _eig_power(b.entries, alpha / 2.0)
+    inner = bh @ _eig_power(a.entries, 1.0 - alpha) @ bh
+    q = np.linalg.eigvalsh((inner + inner.T) / 2.0).sum()
+    return (1.0 - alpha) * a.trace + alpha * b.trace - q
+
+
+def _spd_with_condition(rng, n, log_cond, log_scale):
+    """Random SPD matrix whose condition number is exactly 10**log_cond (n >= 2)."""
+    lam = 10.0 ** (log_cond * rng.uniform(size=n))
+    lam[0], lam[-1] = 1.0, 10.0**log_cond
+    q = random_orthogonal(rng, n)
+    return validate_spd((q * (lam * 10.0**log_scale)) @ q.T)
+
+
+class TestAlphaZTraceForm:
+    """z = 1 evaluates tr Q as <A^{1-a}, B^a>_F instead of summing eigenvalues."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        log_cond=st.floats(0.0, 8.0),
+        log_scale=st.floats(-3.0, 3.0),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_eigenvalue_form(self, seed, n, log_cond, log_scale, alpha):
+        rng = np.random.default_rng(seed)
+        a = _spd_with_condition(rng, n, log_cond, log_scale)
+        b = _spd_with_condition(rng, n, log_cond, log_scale)
+        got = alpha_z_bw(a, b, alpha, 1.0)
+        assert abs(got - _alpha_z1_eigenvalue_form(a, b, alpha)) <= 1e-12 * (a.trace + b.trace)
+
+    def test_cohort_identification_unchanged(self):
+        s1, s2, labels = generate_synthetic_cohort(20, 20, 0.05, 0.5, seed=5, confound=True)
+        spec = MetricSpec("alpha_z", 0.99, 1.0)
+        d12, d21 = both_directions(s1, s2, spec, labels, labels, workers=1)
+
+        def eigenvalue_form(probe, gallery):
+            values = np.array(
+                [[_alpha_z1_eigenvalue_form(a, b, 0.99) for b in gallery] for a in probe]
+            )
+            return DistanceMatrix(tuple(labels), tuple(labels), values, spec)
+
+        r12, r21 = eigenvalue_form(s1, s2), eigenvalue_form(s2, s1)
+        got = id_report(d12, d21)
+        assert 0.0 < got.mean < 1.0  # some misses, so the comparison has teeth
+        assert got == id_report(r12, r21)
+        for d, r in ((d12, r12), (d21, r21)):
+            closest = [m.closest_gallery_label for m in nearest_match_table(d)]
+            assert closest == [m.closest_gallery_label for m in nearest_match_table(r)]
+
+    def test_non_positive_trace_term_rejected(self, monkeypatch):
+        a = spd(np.eye(2))
+        bad = SimpleNamespace(entries=np.full((2, 2), np.nan))
+        monkeypatch.setattr(metrics, "sym_pow", lambda m, p: bad)
+        with pytest.raises(NumericalError):
+            alpha_z_bw(a, a, 0.99, 1.0)
+
+
+class TestLinAlgErrorWrapped:
+    @pytest.fixture
+    def pair_then_failing_eigvalsh(self, monkeypatch):
+        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
+
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        return pair
+
+    def test_affine_invariant(self, pair_then_failing_eigvalsh):
+        with pytest.raises(NumericalError, match="did not converge"):
+            affine_invariant(*pair_then_failing_eigvalsh)
+
+    def test_alpha_z_eigenvalue_path(self, pair_then_failing_eigvalsh):
+        with pytest.raises(NumericalError, match="did not converge"):
+            alpha_z_bw(*pair_then_failing_eigvalsh, 0.5, 0.8)
 
 
 class TestDispatch:
