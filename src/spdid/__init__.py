@@ -1,12 +1,6 @@
 """Geometry-aware distances between SPD matrices and fingerprinting ID rates."""
 
-from .core import (
-    MetricSpec,
-    SpdError,
-    SpdMatrix,
-    regularize,
-    validate_spd,
-)
+from .core import SpdError, SpdMatrix, regularize, validate_spd
 from .dataio import (
     PathTemplate,
     SubjectRecord,
@@ -18,6 +12,7 @@ from .dataio import (
 from .identification import IdReport, compute_id_rate, id_report, nearest_match_table
 from .matfun import Spectrum, eig_sym, sym_fn, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
 from .metrics import (
+    MetricSpec,
     affine_invariant,
     alpha_procrustes,
     alpha_z_bw,

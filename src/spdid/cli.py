@@ -5,7 +5,9 @@ scan directions, intersects the subject sets, loads and regularizes the
 matrices, computes the two cross-distance matrices, and writes D12.csv,
 D21.csv, report.json, and optionally heatmap.png into
 {out_dir}/{task}_{res}/. A summary table goes to stdout. Exit codes: 0 full
-success, 1 if any combination failed (the rest still run), 2 usage error.
+success, 1 if any combination failed (the rest still run), 2 usage error. A
+combination fails on any SpdError and on any OSError, such as an output
+directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import InvalidParameter, MetricSpec, SpdError, UnknownMetric
+from .core import InvalidParameter, SpdError, UnknownMetric
 from .dataio import DEFAULT_TEMPLATE, PathTemplate, find_subject_paths, load_matrix
 from .heatmap import save_heatmap
 from .identification import id_report, nearest_match_table
+from .metrics import KERNELS, MetricSpec
 from .pairwise import DistanceMatrix, both_directions
 
 
@@ -56,10 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolutions", nargs="+", type=int, required=True,
         help="parcellation sizes (matrix orders), e.g. 100 200",
     )
-    p.add_argument(
-        "--metric", required=True,
-        choices=["alpha_z", "alpha_pro", "bw", "ai", "log", "pearson", "euclid"],
-    )
+    p.add_argument("--metric", required=True, choices=list(KERNELS))
     p.add_argument("--alpha", type=float, default=0.99, help="alpha for alpha_z/alpha_pro")
     p.add_argument("--z", type=float, default=1.0, help="z for alpha_z")
     p.add_argument("--tau", type=float, default=1e-6, help="SPD regularization shift")
@@ -75,12 +75,8 @@ def parse_args(argv) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.metric == "alpha_z":
-            metric = MetricSpec("alpha_z", alpha=args.alpha, z=args.z)
-        elif args.metric == "alpha_pro":
-            metric = MetricSpec("alpha_pro", alpha=args.alpha)
-        else:
-            metric = MetricSpec(args.metric)
+        params = {name: getattr(args, name) for name in KERNELS[args.metric].params}
+        metric = MetricSpec(args.metric, **params)
         template = PathTemplate(args.path_template)
     except (InvalidParameter, UnknownMetric) as exc:
         parser.error(str(exc))
@@ -125,15 +121,6 @@ def read_distance_csv(path, metric: MetricSpec) -> DistanceMatrix:
     values = np.array(rows)
     values.setflags(write=False)
     return DistanceMatrix(tuple(probe), gallery, values, metric)
-
-
-def _metric_json(spec: MetricSpec) -> dict:
-    out = {"kind": spec.kind}
-    if spec.kind in ("alpha_z", "alpha_pro"):
-        out["alpha"] = spec.alpha
-    if spec.kind == "alpha_z":
-        out["z"] = spec.z
-    return out
 
 
 def _misidentified(d: DistanceMatrix) -> list[dict]:
@@ -187,7 +174,7 @@ def _run_combination(config: RunConfig, task: str, res: int) -> dict:
     payload = {
         "task": task,
         "resolution": res,
-        "metric": _metric_json(config.metric),
+        "metric": {"kind": config.metric.kind, **config.metric.params},
         "tau": config.tau,
         "n_subjects": report.n_subjects,
         "subjects": list(common),
@@ -214,7 +201,7 @@ def run(config: RunConfig) -> int:
         for res in config.resolutions:
             try:
                 results.append(_run_combination(config, task, res))
-            except SpdError as exc:
+            except (SpdError, OSError) as exc:
                 failures.append((task, res, exc))
                 print(f"error: {task}/{res}: {type(exc).__name__}: {exc}", file=sys.stderr)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Asymmetry above SYMMETRY_RTOL * (1 + max|entry|) is rejected; text-parsed
@@ -96,9 +94,11 @@ def as_square(entries) -> np.ndarray:
 class SpdMatrix:
     """A validated symmetric positive-definite matrix.
 
-    Immutable after construction; the entry array is write-locked and the
-    smallest eigenvalue found at validation time is cached. Construct through
-    :func:`validate_spd` or :func:`regularize` rather than directly.
+    The entries are immutable: the array is write-locked, and the smallest
+    eigenvalue found at validation time is stored with it. The spectrum, the
+    matrix powers and the logarithm are computed lazily by :mod:`spdid.matfun`
+    and cached on the matrix. Construct through :func:`validate_spd` or
+    :func:`regularize` rather than directly.
     """
 
     __slots__ = ("entries", "min_eigenvalue", "_spectrum", "_pow_cache", "_log_entries")
@@ -168,31 +168,3 @@ def validate_spd(raw) -> SpdMatrix:
     if asym > tol:
         raise NotSymmetric(f"asymmetry {asym:.6g} exceeds tolerance {tol:.6g}")
     return _finish_validation((a + a.T) / 2.0)
-
-
-_METRIC_KINDS = ("alpha_z", "alpha_pro", "bw", "ai", "log", "pearson", "euclid")
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """A metric identifier plus the parameters the alpha-family kernels need."""
-
-    kind: str
-    alpha: float | None = None
-    z: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _METRIC_KINDS:
-            raise UnknownMetric(
-                f"unknown metric {self.kind!r}; expected one of {', '.join(_METRIC_KINDS)}"
-            )
-        if self.kind in ("alpha_z", "alpha_pro"):
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise InvalidParameter(
-                    f"metric {self.kind!r} needs alpha in (0, 1), got {self.alpha}"
-                )
-        if self.kind == "alpha_z":
-            if self.z is None or not 0.0 < self.z <= 1.0:
-                raise InvalidParameter(
-                    f"metric 'alpha_z' needs z in (0, 1], got {self.z}"
-                )

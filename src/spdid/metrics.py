@@ -1,6 +1,7 @@
 """Distance and divergence kernels on SPD matrices.
 
-Seven kernels selectable through :func:`dispatch`:
+Seven kernels, registered by name in :data:`KERNELS` and selected through a
+:class:`MetricSpec`:
 
 ==========  ============================================================
 name        formula
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import functools
 import warnings
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .core import (
     DegenerateVariance,
     DimensionMismatch,
     InvalidParameter,
-    MetricSpec,
     NumericalError,
     SpdMatrix,
     UnknownMetric,
@@ -47,6 +49,16 @@ from .matfun import sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
 def _same_order(a: SpdMatrix, b: SpdMatrix) -> None:
     if a.n != b.n:
         raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
+
+
+def _check_alpha(alpha: float | None) -> None:
+    if alpha is None or not 0.0 < alpha < 1.0:
+        raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_z(z: float | None) -> None:
+    if z is None or not 0.0 < z <= 1.0:
+        raise InvalidParameter(f"z must be in (0, 1], got {z}")
 
 
 def _clamp_negative(value: float, scale: float) -> float:
@@ -171,29 +183,20 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     Interpolates between twice the Bures-Wasserstein distance (alpha = 1/2)
     and the log-Euclidean distance (alpha -> 0).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     _same_order(a, b)
     return bures_wasserstein(sym_pow(a, 2.0 * alpha), sym_pow(b, 2.0 * alpha)) / alpha
 
 
-def alpha_z_exponents(alpha: float, z: float) -> tuple[float, float]:
-    """Exponents (p, g) of the cached powers A^p and B^g that alpha_z(A, B) reads."""
-    if z == 1.0:
-        return 1.0 - alpha, alpha
-    return (1.0 - alpha) / z, alpha / (2.0 * z)
-
-
 def _alpha_z_raw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
-    p, g = alpha_z_exponents(alpha, z)
-    ap = sym_pow(a, p).entries
-    bp = sym_pow(b, g).entries
     if z == 1.0:
         # tr Q = <A^{1-a}, B^a>_F; the trace of a product of SPD matrices is > 0
-        q = float(np.sum(ap * bp))
+        q = float(np.sum(sym_pow(a, 1.0 - alpha).entries * sym_pow(b, alpha).entries))
         if not (np.isfinite(q) and q > 0.0):
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
     else:
+        ap = sym_pow(a, (1.0 - alpha) / z).entries
+        bp = sym_pow(b, alpha / (2.0 * z)).entries
         lam = _inner_eigenvalues(bp @ ap @ bp, a.trace + b.trace)
         q = float(np.sum(lam ** z))
     return (1.0 - alpha) * a.trace + alpha * b.trace - q
@@ -208,10 +211,8 @@ def alpha_z_bw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
     eigenvalues of the inner product. Nonnegativity is guaranteed for
     z >= max(alpha, 1-alpha); outside that region a warning is emitted.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < z <= 1.0:
-        raise InvalidParameter(f"z must be in (0, 1], got {z}")
+    _check_alpha(alpha)
+    _check_z(z)
     if z < max(alpha, 1.0 - alpha):
         warnings.warn(
             f"alpha_z with z={z} < max(alpha, 1-alpha)={max(alpha, 1.0 - alpha)}: "
@@ -222,22 +223,52 @@ def alpha_z_bw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
     return _clamp_negative(_alpha_z_raw(a, b, alpha, z), a.trace + b.trace)
 
 
+class Kernel(NamedTuple):
+    fn: Callable[..., float]
+    # MetricSpec fields passed to fn as keywords, each with its range check
+    params: dict[str, Callable[[float | None], None]]
+
+
+# The one definition of each kernel's name, function and parameters: MetricSpec
+# validation, the CLI's --metric choices, report.json's metric block and the
+# sweep all read it, so adding a kernel adds one function and one entry here.
+KERNELS: dict[str, Kernel] = {
+    "alpha_z": Kernel(alpha_z_bw, {"alpha": _check_alpha, "z": _check_z}),
+    "alpha_pro": Kernel(alpha_procrustes, {"alpha": _check_alpha}),
+    "bw": Kernel(bures_wasserstein, {}),
+    "ai": Kernel(affine_invariant, {}),
+    "log": Kernel(log_euclid, {}),
+    "pearson": Kernel(pearson_dist, {}),
+    "euclid": Kernel(euclid, {}),
+}
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """A kernel name from :data:`KERNELS` plus the parameters that kernel takes."""
+
+    kind: str
+    alpha: float | None = None
+    z: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in KERNELS:
+            raise UnknownMetric(
+                f"unknown metric {self.kind!r}; expected one of {', '.join(KERNELS)}"
+            )
+        for name, check in KERNELS[self.kind].params.items():
+            check(getattr(self, name))
+
+    @property
+    def params(self) -> dict[str, float]:
+        """The parameters the kernel takes, by field name."""
+        return {name: getattr(self, name) for name in KERNELS[self.kind].params}
+
+    def kernel(self) -> Callable[[SpdMatrix, SpdMatrix], float]:
+        """The kernel as a function of the pair (a, b), its parameters bound."""
+        return functools.partial(KERNELS[self.kind].fn, **self.params)
+
+
 def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
     """Evaluate the kernel selected by ``spec`` on the pair (a, b)."""
-    if spec.kind == "alpha_z":
-        return alpha_z_bw(a, b, spec.alpha, spec.z)
-    if spec.kind == "alpha_pro":
-        return alpha_procrustes(a, b, spec.alpha)
-    kernel = _PLAIN_KERNELS.get(spec.kind)
-    if kernel is None:
-        raise UnknownMetric(f"no kernel registered for metric {spec.kind!r}")
-    return kernel(a, b)
-
-
-_PLAIN_KERNELS = {
-    "euclid": euclid,
-    "pearson": pearson_dist,
-    "log": log_euclid,
-    "ai": affine_invariant,
-    "bw": bures_wasserstein,
-}
+    return spec.kernel()(a, b)

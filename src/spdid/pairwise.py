@@ -1,10 +1,12 @@
 """Labeled probe x gallery cross-distance matrices with row-parallel execution.
 
-Each cell is computed independently from immutable inputs and written to its
+Each cell is computed independently from the matrix entries and written to its
 preassigned slot, so the result is bitwise identical for any worker count.
-The unit of parallel work is one probe row, which keeps the probe matrix's
-cached eigendecomposition hot; gallery decompositions (and the fixed matrix
-powers a metric needs) are warmed once before the sweep.
+Row 0 and then column 0 are computed serially first: every gallery matrix
+meets the kernel once on the gallery side and every probe matrix once on the
+probe side, which fills the spectra and matrix powers the kernel caches on
+each matrix before any worker thread starts. The remaining rows go to the
+pool, one probe row per unit of work, and only read those caches.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidParameter, MetricSpec, SpdError, SpdMatrix
-from .matfun import eig_sym, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
-from .metrics import alpha_z_exponents, dispatch
+from .core import DimensionMismatch, InvalidParameter, SpdError, SpdMatrix
+from .metrics import MetricSpec
 
 
 @dataclass(frozen=True)
@@ -29,37 +30,6 @@ class DistanceMatrix:
     gallery_labels: tuple[str, ...]
     values: np.ndarray
     metric: MetricSpec
-
-
-def _warm_caches(spec: MetricSpec, probe: Sequence[SpdMatrix], gallery: Sequence[SpdMatrix]) -> None:
-    if spec.kind in ("euclid", "pearson"):
-        return
-    for m in probe:
-        eig_sym(m)
-    for m in gallery:
-        eig_sym(m)
-    if spec.kind == "log":
-        for m in probe:
-            sym_log(m)
-        for m in gallery:
-            sym_log(m)
-    elif spec.kind == "ai":
-        for m in probe:
-            sym_inv_sqrt(m)
-    elif spec.kind == "bw":
-        for m in probe:
-            sym_sqrt(m)
-    elif spec.kind == "alpha_pro":
-        for m in probe:
-            sym_pow(m, 2.0 * spec.alpha)
-        for m in gallery:
-            sym_pow(m, 2.0 * spec.alpha)
-    elif spec.kind == "alpha_z":
-        p, g = alpha_z_exponents(spec.alpha, spec.z)
-        for m in probe:
-            sym_pow(m, p)
-        for m in gallery:
-            sym_pow(m, g)
 
 
 def cross_distances(
@@ -94,27 +64,35 @@ def cross_distances(
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
 
-    _warm_caches(spec, probe, gallery)
+    kernel = spec.kernel()
+    values = np.empty((len(probe), len(gallery)))
 
-    def one_row(i: int) -> np.ndarray:
-        row = np.empty(len(gallery))
-        for j, b in enumerate(gallery):
+    def fill(i: int, columns: range) -> None:
+        for j in columns:
             try:
-                row[j] = dispatch(spec, probe[i], b)
+                values[i, j] = kernel(probe[i], gallery[j])
             except SpdError as exc:
                 raise type(exc)(
                     f"{exc} [probe {i} ({probe_labels[i]}) vs gallery {j} "
                     f"({gallery_labels[j]})]"
                 ) from exc
-        return row
+
+    # Row 0, then column 0, run serially: each matrix meets the kernel once on
+    # its own side, so its caches are filled before any worker thread reads them.
+    fill(0, range(len(gallery)))
+    for i in range(1, len(probe)):
+        fill(i, range(1))
+
+    def rest_of_row(i: int) -> None:
+        fill(i, range(1, len(gallery)))
 
     if workers == 1:
-        rows = [one_row(i) for i in range(len(probe))]
+        for i in range(1, len(probe)):
+            rest_of_row(i)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, range(len(probe))))
+            list(pool.map(rest_of_row, range(1, len(probe))))
 
-    values = np.vstack(rows)
     values.setflags(write=False)
     return DistanceMatrix(tuple(probe_labels), tuple(gallery_labels), values, spec)
 

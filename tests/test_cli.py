@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spdid
-from spdid import MetricSpec, generate_synthetic_cohort, save_matrix
+from spdid import MetricSpec, generate_synthetic_cohort, metrics, save_matrix
 from spdid.cli import parse_args, read_distance_csv, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
 
@@ -208,6 +208,48 @@ class TestRun:
         assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
             "D12.csv", "D21.csv", "report.json",
         ]
+
+    def test_unwritable_combination_fails_only_itself(self, tmp_path, capsys):
+        write_cohort(tmp_path / "data", task="REST")
+        write_cohort(tmp_path / "data", task="EMOTION")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "REST_8").write_text("a regular file where REST_8's directory goes\n")
+        argv = base_argv(
+            tmp_path / "data", out, metric="euclid", extra=["--tasks", "REST", "EMOTION"]
+        )
+        assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        assert "error: REST/8: FileExistsError" in captured.err
+        assert "EMOTION" in captured.out and "1.000" in captured.out
+        assert sorted(f.name for f in (out / "EMOTION_8").iterdir()) == [
+            "D12.csv", "D21.csv", "report.json",
+        ]
+
+    def test_added_kernel_needs_only_a_table_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(metrics.KERNELS, "toy", metrics.KERNELS["euclid"])
+        write_cohort(tmp_path / "data")
+        for kind in ("euclid", "toy"):
+            assert run(parse_args(base_argv(tmp_path / "data", tmp_path / kind, metric=kind))) == 0
+        toy, ref = tmp_path / "toy" / "REST_8", tmp_path / "euclid" / "REST_8"
+        assert (toy / "D12.csv").read_bytes() == (ref / "D12.csv").read_bytes()
+        assert json.loads((toy / "report.json").read_text())["metric"] == {"kind": "toy"}
+
+    @pytest.mark.parametrize("kind,block", [
+        ("alpha_z", {"kind": "alpha_z", "alpha": 0.7, "z": 0.9}),
+        ("alpha_pro", {"kind": "alpha_pro", "alpha": 0.7}),
+        ("bw", {"kind": "bw"}),
+        ("ai", {"kind": "ai"}),
+        ("log", {"kind": "log"}),
+        ("pearson", {"kind": "pearson"}),
+        ("euclid", {"kind": "euclid"}),
+    ])
+    def test_report_metric_block(self, tmp_path, kind, block):
+        write_cohort(tmp_path / "data")
+        out = tmp_path / "out"
+        argv = base_argv(tmp_path / "data", out, metric=kind, extra=["--alpha", "0.7", "--z", "0.9"])
+        assert run(parse_args(argv)) == 0
+        assert json.loads((out / "REST_8" / "report.json").read_text())["metric"] == block
 
     def test_subject_intersection_warns(self, tmp_path, capsys):
         write_cohort(tmp_path / "data")

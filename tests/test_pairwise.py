@@ -58,14 +58,19 @@ def test_both_directions_singleton_identical():
     assert d21.values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("kind,alpha,z", [
+KERNEL_CONFIGS = [
     ("euclid", None, None),
+    ("pearson", None, None),
     ("log", None, None),
     ("ai", None, None),
     ("bw", None, None),
     ("alpha_pro", 0.3, None),
     ("alpha_z", 0.99, 1.0),
-])
+    ("alpha_z", 0.5, 0.8),
+]
+
+
+@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
 def test_worker_count_never_changes_bits(kind, alpha, z):
     rng = np.random.default_rng(3)
     probe = spd_pool(rng, 6, 4)
@@ -80,14 +85,22 @@ def test_worker_count_never_changes_bits(kind, alpha, z):
         np.testing.assert_array_equal(again, baseline)
 
 
-def test_spectrum_reuse_matches_cold_computation():
+@pytest.mark.parametrize("kind,alpha,z,shared", [
+    *[(kind, alpha, z, False) for kind, alpha, z in KERNEL_CONFIGS],
+    ("alpha_z", 0.5, 0.8, True),
+])
+def test_spectrum_reuse_matches_cold_computation(kind, alpha, z, shared):
     from spdid.metrics import dispatch
 
     rng = np.random.default_rng(4)
-    probe = spd_pool(rng, 5, 3)
-    gallery = spd_pool(rng, 5, 3)
-    spec = MetricSpec("alpha_z", 0.99, 1.0)
-    warm = cross_distances(probe, gallery, spec).values
+    if shared:
+        # one list on both sides: each matrix fills probe- and gallery-side caches
+        probe = gallery = spd_pool(rng, 5, 8)
+    else:
+        probe = spd_pool(rng, 5, 3)
+        gallery = spd_pool(rng, 5, 3)
+    spec = MetricSpec(kind, alpha, z)
+    warm = cross_distances(probe, gallery, spec, workers=4 if shared else None).values
     cold = np.array(
         [
             [
