@@ -10,7 +10,7 @@ from .dataio import (
     save_matrix,
 )
 from .identification import IdReport, compute_id_rate, id_report, nearest_match_table
-from .matfun import Spectrum, eig_sym, sym_fn, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
+from .matfun import Spectrum, eig_sym, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
 from .metrics import (
     MetricSpec,
     affine_invariant,
@@ -52,7 +52,6 @@ __all__ = [
     "pearson_dist",
     "regularize",
     "save_matrix",
-    "sym_fn",
     "sym_inv_sqrt",
     "sym_log",
     "sym_pow",

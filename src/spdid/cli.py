@@ -14,12 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .core import InvalidParameter, SpdError, UnknownMetric
 from .dataio import DEFAULT_TEMPLATE, PathTemplate, find_subject_paths, load_matrix
@@ -67,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-template", default=DEFAULT_TEMPLATE)
     p.add_argument("--out-dir", default="spd_id_output")
     p.add_argument("--emit-heatmap", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     return p
 
 
@@ -84,7 +81,7 @@ def parse_args(argv) -> RunConfig:
         parser.error(f"--tau must be >= 0, got {args.tau}")
     if args.num_subjects < 1:
         parser.error(f"--num-subjects must be >= 1, got {args.num_subjects}")
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     return RunConfig(
         base_path=args.base_path,
@@ -97,7 +94,7 @@ def parse_args(argv) -> RunConfig:
         path_template=template,
         out_dir=args.out_dir,
         emit_heatmap=args.emit_heatmap,
-        workers=args.workers if args.workers is not None else (os.cpu_count() or 1),
+        workers=args.workers,
     )
 
 
@@ -107,20 +104,6 @@ def write_distance_csv(path, d: DistanceMatrix) -> None:
         fh.write("," + ",".join(d.gallery_labels) + "\n")
         for label, row in zip(d.probe_labels, d.values):
             fh.write(label + "," + ",".join("%.17g" % v for v in row) + "\n")
-
-
-def read_distance_csv(path, metric: MetricSpec) -> DistanceMatrix:
-    lines = Path(path).read_text().splitlines()
-    gallery = tuple(lines[0].split(",")[1:])
-    probe = []
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        probe.append(cells[0])
-        rows.append([float(c) for c in cells[1:]])
-    values = np.array(rows)
-    values.setflags(write=False)
-    return DistanceMatrix(tuple(probe), gallery, values, metric)
 
 
 def _misidentified(d: DistanceMatrix) -> list[dict]:

@@ -48,14 +48,6 @@ class NumericalError(SpdError):
     pass
 
 
-class ConvergenceFailure(SpdError):
-    pass
-
-
-class DomainError(SpdError):
-    pass
-
-
 class ParseError(SpdError):
     pass
 
@@ -125,12 +117,21 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n}, min_eigenvalue={self.min_eigenvalue:.6g})"
 
 
+def eigensolve(sym: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of a symmetric matrix, with eigenvectors if asked.
+
+    Validation, :mod:`spdid.matfun` and the kernels all solve through here,
+    so a LAPACK failure to converge always surfaces as a :class:`NumericalError`.
+    """
+    try:
+        return np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+
+
 def _finish_validation(sym: np.ndarray) -> SpdMatrix:
     """PD-check an exactly-symmetric matrix and wrap it."""
-    try:
-        lam_min = float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    lam_min = float(eigensolve(sym)[0])
     if lam_min <= PD_FLOOR:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lam_min:.6g} is at or below the floor "

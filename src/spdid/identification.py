@@ -7,7 +7,6 @@ as misses: strict-minimum is the conservative, platform-stable choice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,22 +48,25 @@ def _check_square_labels(d: DistanceMatrix) -> None:
             raise LabelMismatch(f"label mismatch at index {i}: probe {p!r} vs gallery {g!r}")
 
 
+def _within_and_best_other(d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe row's diagonal cell and its smallest off-diagonal cell (inf if none)."""
+    _check_square_labels(d)
+    v = d.values
+    off = v.copy()
+    np.fill_diagonal(off, np.inf)
+    return v.diagonal(), off.min(axis=1)
+
+
 def compute_id_rate(d: DistanceMatrix) -> tuple[float, tuple[bool, ...]]:
     """Fraction of probe rows whose diagonal is the strict row minimum.
 
     Returns (rate, per-subject hit vector). A 1x1 matrix scores 1.0: with no
     competitors the diagonal is vacuously the strict minimum.
     """
-    _check_square_labels(d)
-    v = d.values
-    n = v.shape[0]
-    hits = []
-    for i in range(n):
-        off = np.delete(v[i], i)
-        best_other = float(off.min()) if off.size else math.inf
-        hits.append(bool(v[i, i] < best_other))
-    rate = sum(hits) / n
-    return rate, tuple(hits)
+    within, best_other = _within_and_best_other(d)
+    hits = tuple((within < best_other).tolist())
+    rate = sum(hits) / len(hits)
+    return rate, hits
 
 
 def id_report(d12: DistanceMatrix, d21: DistanceMatrix) -> IdReport:
@@ -88,21 +90,17 @@ def nearest_match_table(d: DistanceMatrix) -> list[NearestMatch]:
 
     Exact ties go to the lowest gallery index and are flagged ambiguous.
     """
-    _check_square_labels(d)
+    within, best_other = _within_and_best_other(d)
     v = d.values
-    rows = []
-    for i in range(v.shape[0]):
-        j_min = int(np.argmin(v[i]))
-        ambiguous = int(np.sum(v[i] == v[i, j_min])) > 1
-        off = np.delete(v[i], i)
-        best_other = float(off.min()) if off.size else math.inf
-        rows.append(
-            NearestMatch(
-                probe_label=d.probe_labels[i],
-                closest_gallery_label=d.gallery_labels[j_min],
-                within_distance=float(v[i, i]),
-                best_other_distance=best_other,
-                ambiguous=ambiguous,
-            )
+    closest = v.argmin(axis=1)
+    ties = np.count_nonzero(v == v.min(axis=1, keepdims=True), axis=1)
+    return [
+        NearestMatch(
+            probe_label=d.probe_labels[i],
+            closest_gallery_label=d.gallery_labels[j],
+            within_distance=float(within[i]),
+            best_other_distance=float(best_other[i]),
+            ambiguous=bool(ties[i] > 1),
         )
-    return rows
+        for i, j in enumerate(closest)
+    ]

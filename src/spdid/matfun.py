@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceFailure, DomainError, SpdMatrix
+from .core import SpdMatrix, eigensolve
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,7 @@ def eig_sym(a: SpdMatrix) -> Spectrum:
     is positive, so results are reproducible run to run on one platform.
     """
     if a._spectrum is None:
-        try:
-            lam, vec = np.linalg.eigh(a.entries)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
+        lam, vec = eigensolve(a.entries, vectors=True)
         vec = _fix_signs(vec)
         lam.setflags(write=False)
         vec.setflags(write=False)
@@ -58,16 +55,6 @@ def spectrum_map(spectrum: Spectrum, values: np.ndarray) -> np.ndarray:
     v = spectrum.eigenvectors
     m = (v * values) @ v.T
     return (m + m.T) / 2.0
-
-
-def sym_fn(a: SpdMatrix, f) -> np.ndarray:
-    """Apply a scalar function to an SPD matrix through its spectrum."""
-    spectrum = eig_sym(a)
-    with np.errstate(all="ignore"):
-        values = np.asarray(f(spectrum.eigenvalues), dtype=float)
-    if values.shape != spectrum.eigenvalues.shape or not np.all(np.isfinite(values)):
-        raise DomainError("scalar function is undefined or non-finite at an eigenvalue")
-    return spectrum_map(spectrum, values)
 
 
 def sym_pow(a: SpdMatrix, p: float) -> SpdMatrix:

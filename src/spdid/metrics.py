@@ -42,6 +42,7 @@ from .core import (
     NumericalError,
     SpdMatrix,
     UnknownMetric,
+    eigensolve,
 )
 from .matfun import sym_inv_sqrt, sym_log, sym_pow, sym_sqrt
 
@@ -117,10 +118,7 @@ def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
 def _inner_eigenvalues(m: np.ndarray, scale: float) -> np.ndarray:
     """Eigenvalues of a symmetrized product that is PSD up to round-off."""
     sym = (m + m.T) / 2.0
-    try:
-        lam = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigvalsh failed on inner product: {exc}") from exc
+    lam = eigensolve(sym)
     if lam[0] < -1e-8 * (1.0 + scale):
         raise NumericalError(
             f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
@@ -136,10 +134,7 @@ def _inner_eigenpairs(inner: np.ndarray, a: SpdMatrix, b: SpdMatrix):
     eigensolver round-off and keeps lambda^(-1/2) finite.
     """
     sym = (inner + inner.T) / 2.0
-    try:
-        lam, vec = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigh failed on inner product: {exc}") from exc
+    lam, vec = eigensolve(sym, vectors=True)
     return np.maximum(lam, a.min_eigenvalue * b.min_eigenvalue), vec
 
 
@@ -149,10 +144,7 @@ def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     isq = sym_inv_sqrt(a).entries
     inner = isq @ b.entries @ isq
     sym = (inner + inner.T) / 2.0
-    try:
-        lam = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigvalsh failed on whitened product: {exc}") from exc
+    lam = eigensolve(sym)
     if lam[0] <= 0.0:
         raise NumericalError(
             f"whitened product lost positive definiteness (eigenvalue {lam[0]:.6g})"

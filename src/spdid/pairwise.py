@@ -11,7 +11,6 @@ pool, one probe row per unit of work, and only read those caches.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,13 +37,14 @@ def cross_distances(
     spec: MetricSpec,
     probe_labels: Sequence[str] | None = None,
     gallery_labels: Sequence[str] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> DistanceMatrix:
     """Compute values[i][j] = dispatch(spec, probe[i], gallery[j]).
 
     Fails fast on the first kernel error, annotated with the offending
-    (row, column, probe label, gallery label). ``workers`` defaults to the
-    machine's CPU count and never affects the output values.
+    (row, column, probe label, gallery label). ``workers`` defaults to 1,
+    since each kernel call may already run multi-threaded BLAS; it never
+    affects the output values.
     """
     if not probe or not gallery:
         raise InvalidParameter("probe and gallery lists must be non-empty")
@@ -59,8 +59,6 @@ def cross_distances(
     if len(probe_labels) != len(probe) or len(gallery_labels) != len(gallery):
         raise InvalidParameter("label lists must match the matrix lists in length")
 
-    if workers is None:
-        workers = os.cpu_count() or 1
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
 
@@ -103,7 +101,7 @@ def both_directions(
     spec: MetricSpec,
     labels1: Sequence[str] | None = None,
     labels2: Sequence[str] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
     """(set1 -> set2, set2 -> set1) cross matrices, both genuinely computed.
 

@@ -28,9 +28,9 @@ from spdid import (
     sym_sqrt,
     validate_spd,
 )
-from spdid.cli import parse_args, read_distance_csv, run
+from spdid.cli import parse_args, run
 from spdid.pairwise import DistanceMatrix
-from support import random_orthogonal, random_spd, spd_pool
+from support import random_orthogonal, random_spd, read_distance_csv, spd_pool
 
 ORDERS = (1, 2, 5, 20, 100)
 N_PAIRS = 200

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,23 @@ def brute_force_hits(values):
                 hit = False
         hits.append(hit)
     return hits
+
+
+def brute_force_nearest(values):
+    """Independent double-loop oracle: (closest, within, best other, ambiguous) per row."""
+    n = values.shape[0]
+    rows = []
+    for i in range(n):
+        closest = 0
+        best_other = math.inf
+        for j in range(n):
+            if values[i, j] < values[i, closest]:
+                closest = j  # strict, so the lowest index keeps a tie
+            if j != i and values[i, j] < best_other:
+                best_other = values[i, j]
+        ties = sum(1 for j in range(n) if values[i, j] == values[i, closest])
+        rows.append((closest, values[i, i], best_other, ties > 1))
+    return rows
 
 
 class TestComputeIdRate:
@@ -136,3 +155,27 @@ class TestNearestMatchTable:
         )
         assert rows[0].ambiguous
         assert rows[0].closest_gallery_label == "a"
+
+    def test_matches_brute_force_random(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            n = int(rng.integers(1, 31))
+            if rng.random() < 0.3:
+                values = rng.integers(0, 4, size=(n, n)).astype(float)  # dense ties
+            else:
+                values = rng.random((n, n))
+            # plant exact ties at the row minimum, on and off the diagonal
+            for i in rng.integers(n, size=n // 2):
+                j1, j2 = sorted(rng.choice(n, size=2)) if n > 1 else (0, 0)
+                values[i, j1] = values[i, j2] = values[i].min()
+            labels = tuple(f"s{i}" for i in range(n))
+            rows = nearest_match_table(dm(values, labels, labels))
+            assert len(rows) == n
+            for row, label, (closest, within, best_other, ambiguous) in zip(
+                rows, labels, brute_force_nearest(values)
+            ):
+                assert row.probe_label == label
+                assert row.closest_gallery_label == labels[closest]
+                assert row.within_distance == within
+                assert row.best_other_distance == best_other
+                assert row.ambiguous == ambiguous

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from spdid import eig_sym, sym_fn, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt, validate_spd
-from spdid.core import DomainError
+from spdid import eig_sym, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt, validate_spd
 from spdid.matfun import _fix_signs
 from support import random_orthogonal, random_spd
 
@@ -37,28 +35,6 @@ def test_spectrum_invariants_random():
         assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-8
         scale = 1 + np.abs(a.entries).max()
         assert np.abs((v * spec.eigenvalues) @ v.T - a.entries).max() <= 1e-8 * scale
-
-
-def test_sym_fn_identity_and_diagonal():
-    np.testing.assert_allclose(
-        sym_fn(validate_spd(np.eye(3)), np.exp), np.e * np.eye(3), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        sym_fn(validate_spd(np.diag([4.0, 9.0])), np.sqrt), np.diag([2.0, 3.0]), atol=1e-12
-    )
-
-
-def test_sym_fn_square_matches_matmul():
-    a = validate_spd([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(
-        sym_fn(a, lambda x: x**2), a.entries @ a.entries, atol=1e-12
-    )
-
-
-def test_sym_fn_domain_error():
-    a = validate_spd(np.diag([0.5, 2.0]))
-    with pytest.raises(DomainError):
-        sym_fn(a, lambda x: np.log(x - 1.0))
 
 
 def test_pow_one_recovers_input():
@@ -126,7 +102,7 @@ def test_orthogonal_congruence():
 def test_outputs_exactly_symmetric():
     rng = np.random.default_rng(10)
     a = random_spd(rng, 17)
-    for m in (sym_pow(a, 0.37).entries, sym_log(a), sym_fn(a, np.sqrt)):
+    for m in (sym_pow(a, 0.37).entries, sym_log(a)):
         np.testing.assert_array_equal(m, m.T)
 
 

@@ -14,6 +14,7 @@ from spdid import (
     both_directions,
     bures_wasserstein,
     dispatch,
+    eig_sym,
     euclid,
     generate_synthetic_cohort,
     id_report,
@@ -284,16 +285,34 @@ class TestAlphaZTraceForm:
             alpha_z_bw(a, a, 0.99, 1.0)
 
 
+def _no_convergence(m):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestLinAlgErrorWrapped:
     @pytest.fixture
     def pair_then_failing_eigvalsh(self, monkeypatch):
         pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
-
-        def fail(m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
         return pair
+
+    @pytest.fixture
+    def pair_then_failing_eigh(self, monkeypatch):
+        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated, no spectrum cached yet
+        monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+        return pair
+
+    def test_validate_spd(self, pair_then_failing_eigvalsh):
+        with pytest.raises(NumericalError, match="did not converge"):
+            validate_spd(np.eye(2))
+
+    def test_eig_sym(self, pair_then_failing_eigh):
+        with pytest.raises(NumericalError, match="did not converge"):
+            eig_sym(pair_then_failing_eigh[0])
+
+    def test_bures_wasserstein(self, pair_then_failing_eigh):
+        with pytest.raises(NumericalError, match="did not converge"):
+            bures_wasserstein(*pair_then_failing_eigh)
 
     def test_affine_invariant(self, pair_then_failing_eigvalsh):
         with pytest.raises(NumericalError, match="did not converge"):

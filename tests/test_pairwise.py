@@ -100,7 +100,9 @@ def test_spectrum_reuse_matches_cold_computation(kind, alpha, z, shared):
         probe = spd_pool(rng, 5, 3)
         gallery = spd_pool(rng, 5, 3)
     spec = MetricSpec(kind, alpha, z)
-    warm = cross_distances(probe, gallery, spec, workers=4 if shared else None).values
+    # the non-shared cases leave workers at its default
+    workers = {"workers": 4} if shared else {}
+    warm = cross_distances(probe, gallery, spec, **workers).values
     cold = np.array(
         [
             [
