@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InvalidParameter, SpdError, UnknownMetric
+from .core import InvalidParameter, SpdError, UnknownMetric, check_tau
 from .dataio import DEFAULT_TEMPLATE, PathTemplate, find_subject_paths, load_matrix
 from .heatmap import save_heatmap
 from .identification import id_report, nearest_match_table
@@ -75,10 +75,9 @@ def parse_args(argv) -> RunConfig:
         params = {name: getattr(args, name) for name in KERNELS[args.metric].params}
         metric = MetricSpec(args.metric, **params)
         template = PathTemplate(args.path_template)
+        check_tau(args.tau)
     except (InvalidParameter, UnknownMetric) as exc:
         parser.error(str(exc))
-    if args.tau < 0:
-        parser.error(f"--tau must be >= 0, got {args.tau}")
     if args.num_subjects < 1:
         parser.error(f"--num-subjects must be >= 1, got {args.num_subjects}")
     if args.workers < 1:

@@ -89,21 +89,19 @@ class SpdMatrix:
     The entries are immutable: the array is write-locked, and the smallest
     eigenvalue found at validation time is stored with it. The spectrum, the
     matrix powers and the logarithm are computed lazily by :mod:`spdid.matfun`
-    and cached on the matrix. Construct through :func:`validate_spd` or
-    :func:`regularize` rather than directly.
+    and cached in ``_cache``, whose layout only that module knows. Construct
+    through :func:`validate_spd` or :func:`regularize` rather than directly.
     """
 
-    __slots__ = ("entries", "min_eigenvalue", "_spectrum", "_pow_cache", "_log_entries")
+    __slots__ = ("entries", "min_eigenvalue", "_cache")
 
-    def __init__(self, sym_entries: np.ndarray, min_eigenvalue: float, spectrum=None):
+    def __init__(self, sym_entries: np.ndarray, min_eigenvalue: float):
         # sym_entries must already be exactly symmetric and PD-checked.
         sym_entries = np.ascontiguousarray(sym_entries, dtype=float)
         sym_entries.setflags(write=False)
         self.entries = sym_entries
         self.min_eigenvalue = float(min_eigenvalue)
-        self._spectrum = spectrum
-        self._pow_cache: dict[float, "SpdMatrix"] = {}
-        self._log_entries = None
+        self._cache: dict = {}
 
     @property
     def n(self) -> int:
@@ -120,13 +118,17 @@ class SpdMatrix:
 def eigensolve(sym: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues of a symmetric matrix, with eigenvectors if asked.
 
-    Validation, :mod:`spdid.matfun` and the kernels all solve through here,
-    so a LAPACK failure to converge always surfaces as a :class:`NumericalError`.
+    Validation, :mod:`spdid.matfun`, the kernels and the cohort generator all
+    solve through here, so a LAPACK failure to converge or a non-finite
+    eigenvalue always surfaces as a :class:`NumericalError`.
     """
     try:
-        return np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
+        out = np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    if not np.all(np.isfinite(out[0] if vectors else out)):
+        raise NumericalError("eigensolver returned non-finite eigenvalues")
+    return out
 
 
 def _finish_validation(sym: np.ndarray) -> SpdMatrix:
@@ -140,14 +142,19 @@ def _finish_validation(sym: np.ndarray) -> SpdMatrix:
     return SpdMatrix(sym, lam_min)
 
 
+def check_tau(tau: float) -> None:
+    """Reject a regularization shift that is negative, infinite or NaN."""
+    if not (np.isfinite(tau) and tau >= 0):
+        raise InvalidParameter(f"tau must be finite and >= 0, got {tau}")
+
+
 def regularize(raw, tau: float) -> SpdMatrix:
     """Symmetrize, shift by ``tau`` on the diagonal, and validate.
 
     Returns ``(raw + raw.T)/2 + tau*I`` as an :class:`SpdMatrix`. The output
-    is exactly symmetric by construction. ``tau`` must be >= 0.
+    is exactly symmetric by construction. ``tau`` must be finite and >= 0.
     """
-    if tau < 0:
-        raise InvalidParameter(f"tau must be >= 0, got {tau}")
+    check_tau(tau)
     a = as_square(raw)
     sym = (a + a.T) / 2.0
     if tau != 0.0:

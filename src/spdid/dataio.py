@@ -17,9 +17,12 @@ from .core import (
     NoSubjectsFound,
     ParseError,
     ShapeMismatch,
+    SpdError,
     SpdMatrix,
+    eigensolve,
     regularize,
 )
+from .matfun import spectrum_map
 
 DEFAULT_TEMPLATE = "{base}/{subject}/{task}_{scan}_{res}.txt"
 
@@ -105,7 +108,7 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
     """Parse a dense text matrix and regularize it with diagonal shift ``tau``.
 
     Rows are lines; entries are whitespace- or comma-separated (detected from
-    the first data line). Scientific notation is accepted.
+    the first data line). Scientific notation is accepted. Errors name the path.
     """
     try:
         text = Path(path).read_text()
@@ -133,12 +136,12 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
             )
         rows.append(row)
 
-    arr = np.array(rows, dtype=float)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeMismatch(f"{path}: matrix is {arr.shape[0]}x{arr.shape[1]}, not square")
-    if expected_n is not None and arr.shape[0] != expected_n:
-        raise ShapeMismatch(f"{path}: expected order {expected_n}, got {arr.shape[0]}")
-    return regularize(arr, tau)
+    if expected_n is not None and len(rows) != expected_n:
+        raise ShapeMismatch(f"{path}: expected order {expected_n}, got {len(rows)}")
+    try:
+        return regularize(rows, tau)
+    except SpdError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_matrix(path, entries: np.ndarray) -> None:
@@ -152,12 +155,6 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)
-
-
-def _spectral_exp(log_matrix: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh((log_matrix + log_matrix.T) / 2.0)
-    m = (vec * np.exp(lam)) @ vec.T
-    return (m + m.T) / 2.0
 
 
 def generate_synthetic_cohort(
@@ -192,9 +189,7 @@ def generate_synthetic_cohort(
 
     if confound:
         q_t = _random_orthogonal(rng, n)
-        u_t = rng.uniform(0.1, 1.0, size=n)
-        template = (q_t * u_t) @ q_t.T
-        template = (template + template.T) / 2.0
+        template = spectrum_map(q_t, rng.uniform(0.1, 1.0, size=n))
 
     scans1: list[SpdMatrix] = []
     scans2: list[SpdMatrix] = []
@@ -203,16 +198,15 @@ def generate_synthetic_cohort(
             c = float(np.exp(rng.uniform(-between_spread, between_spread)))
             d = float(rng.uniform(0.0, 1.0))
             base = c * template + d * np.eye(n)
-            lam, vec = np.linalg.eigh(base)
-            log_base = (vec * np.log(lam)) @ vec.T
+            lam, vec = eigensolve(base, vectors=True)
+            log_base = spectrum_map(vec, np.log(lam))
         else:
             q = _random_orthogonal(rng, n)
             u = rng.uniform(-between_spread, between_spread, size=n)
-            log_base = (q * u) @ q.T
-        log_base = (log_base + log_base.T) / 2.0
+            log_base = spectrum_map(q, u)
         for out in (scans1, scans2):
             g = rng.standard_normal((n, n))
             noise = within_noise * (g + g.T) / 2.0
-            entries = _spectral_exp(log_base + noise)
-            out.append(regularize(entries, 0.0))
+            lam, vec = eigensolve(log_base + noise, vectors=True)
+            out.append(regularize(spectrum_map(vec, np.exp(lam)), 0.0))
     return scans1, scans2, labels

@@ -3,6 +3,9 @@
 Every function here is a spectral map V diag(f(lambda)) V^T computed from one
 cached eigendecomposition per matrix, with the output forcibly symmetrized so
 asymmetry of order machine epsilon cannot accumulate through metric pipelines.
+
+Only this module reads or writes a matrix's ``_cache`` dict: its "spectrum", its
+"log" and each power ("pow", p), an SpdMatrix that carries its own spectrum.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first nonzero component is positive."""
@@ -41,30 +40,30 @@ def eig_sym(a: SpdMatrix) -> Spectrum:
     Eigenvalues come out ascending; each eigenvector's first nonzero component
     is positive, so results are reproducible run to run on one platform.
     """
-    if a._spectrum is None:
+    spectrum = a._cache.get("spectrum")
+    if spectrum is None:
         lam, vec = eigensolve(a.entries, vectors=True)
         vec = _fix_signs(vec)
         lam.setflags(write=False)
         vec.setflags(write=False)
-        a._spectrum = Spectrum(lam, vec)
-    return a._spectrum
+        spectrum = a._cache["spectrum"] = Spectrum(lam, vec)
+    return spectrum
 
 
-def spectrum_map(spectrum: Spectrum, values: np.ndarray) -> np.ndarray:
+def spectrum_map(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V^T, exactly symmetrized."""
-    v = spectrum.eigenvectors
-    m = (v * values) @ v.T
+    m = (vectors * values) @ vectors.T
     return (m + m.T) / 2.0
 
 
 def sym_pow(a: SpdMatrix, p: float) -> SpdMatrix:
     """Fractional matrix power A^p, cached per exponent on the input matrix."""
     p = float(p)
-    cached = a._pow_cache.get(p)
+    cached = a._cache.get(("pow", p))
     if cached is None:
         spectrum = eig_sym(a)
         lam = spectrum.eigenvalues ** p
-        entries = spectrum_map(spectrum, lam)
+        entries = spectrum_map(spectrum.eigenvectors, lam)
         if p >= 0:
             lam_sorted, vec_sorted = lam, spectrum.eigenvectors
         else:
@@ -73,8 +72,9 @@ def sym_pow(a: SpdMatrix, p: float) -> SpdMatrix:
             vec_sorted = spectrum.eigenvectors[:, ::-1].copy()
         lam_sorted.setflags(write=False)
         vec_sorted.setflags(write=False)
-        cached = SpdMatrix(entries, float(lam_sorted[0]), Spectrum(lam_sorted, vec_sorted))
-        a._pow_cache[p] = cached
+        cached = SpdMatrix(entries, float(lam_sorted[0]))
+        cached._cache["spectrum"] = Spectrum(lam_sorted, vec_sorted)
+        a._cache[("pow", p)] = cached
     return cached
 
 
@@ -88,9 +88,10 @@ def sym_inv_sqrt(a: SpdMatrix) -> SpdMatrix:
 
 def sym_log(a: SpdMatrix) -> np.ndarray:
     """Matrix logarithm; symmetric but generally indefinite. Cached."""
-    if a._log_entries is None:
+    log = a._cache.get("log")
+    if log is None:
         spectrum = eig_sym(a)
-        m = spectrum_map(spectrum, np.log(spectrum.eigenvalues))
-        m.setflags(write=False)
-        a._log_entries = m
-    return a._log_entries
+        log = spectrum_map(spectrum.eigenvectors, np.log(spectrum.eigenvalues))
+        log.setflags(write=False)
+        a._cache["log"] = log
+    return log

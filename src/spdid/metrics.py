@@ -63,11 +63,11 @@ def _check_z(z: float | None) -> None:
 
 
 def _clamp_negative(value: float, scale: float) -> float:
-    """Clamp round-off negatives to 0; larger negatives are a real failure."""
+    """Clamp round-off negatives to 0; larger negatives and NaN are a real failure."""
     if value >= 0.0:
         return value
-    if value < -1e-12 * (1.0 + scale):
-        raise NumericalError(f"distance value {value:.6g} is negative beyond round-off")
+    if not value >= -1e-12 * (1.0 + scale):
+        raise NumericalError(f"distance value {value:.6g} is NaN or negative beyond round-off")
     return 0.0
 
 
@@ -104,8 +104,9 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     ny = float(np.sqrt(yc @ yc))
     if nx == 0.0 or ny == 0.0:
         raise DegenerateVariance("strict upper triangle is constant; correlation undefined")
-    r = float(xc @ yc) / (nx * ny)
-    r = min(1.0, max(-1.0, r))
+    if not np.isfinite(nx * ny):
+        raise NumericalError("pearson correlation overflowed; the entries are too large")
+    r = min(1.0, max(-1.0, float(xc @ yc) / (nx * ny)))
     return 1.0 - r
 
 
@@ -115,36 +116,12 @@ def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(np.linalg.norm(sym_log(a) - sym_log(b)))
 
 
-def _inner_eigenvalues(m: np.ndarray, scale: float) -> np.ndarray:
-    """Eigenvalues of a symmetrized product that is PSD up to round-off."""
-    sym = (m + m.T) / 2.0
-    lam = eigensolve(sym)
-    if lam[0] < -1e-8 * (1.0 + scale):
-        raise NumericalError(
-            f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
-        )
-    return np.clip(lam, 0.0, None)
-
-
-def _inner_eigenpairs(inner: np.ndarray, a: SpdMatrix, b: SpdMatrix):
-    """Eigen-pairs of sqrt(A) B sqrt(A), floored at the analytic lower bound.
-
-    By congruence, lambda_min(sqrt(A) B sqrt(A)) >= lambda_min(A) *
-    lambda_min(B) > 0 for validated SPD inputs, so flooring only repairs
-    eigensolver round-off and keeps lambda^(-1/2) finite.
-    """
-    sym = (inner + inner.T) / 2.0
-    lam, vec = eigensolve(sym, vectors=True)
-    return np.maximum(lam, a.min_eigenvalue * b.min_eigenvalue), vec
-
-
 def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     """Geodesic distance under the affine-invariant Riemannian metric."""
     _same_order(a, b)
     isq = sym_inv_sqrt(a).entries
     inner = isq @ b.entries @ isq
-    sym = (inner + inner.T) / 2.0
-    lam = eigensolve(sym)
+    lam = eigensolve((inner + inner.T) / 2.0)
     if lam[0] <= 0.0:
         raise NumericalError(
             f"whitened product lost positive definiteness (eigenvalue {lam[0]:.6g})"
@@ -163,7 +140,12 @@ def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     _same_order(a, b)
     sq_a = sym_sqrt(a).entries
     sq_b = sym_sqrt(b).entries
-    lam, vec = _inner_eigenpairs(sq_a @ b.entries @ sq_a, a, b)
+    inner = sq_a @ b.entries @ sq_a
+    lam, vec = eigensolve((inner + inner.T) / 2.0, vectors=True)
+    # By congruence, lambda_min(sqrt(A) B sqrt(A)) >= lambda_min(A) *
+    # lambda_min(B) > 0 for validated SPD inputs, so flooring only repairs
+    # eigensolver round-off and keeps lambda^(-1/2) finite.
+    lam = np.maximum(lam, a.min_eigenvalue * b.min_eigenvalue)
     # polar factor U of M = sqrt(B) sqrt(A), via M (M^T M)^{-1/2}
     u = ((sq_b @ sq_a) @ (vec * lam**-0.5)) @ vec.T
     return float(np.linalg.norm(sq_a - sq_b @ u))
@@ -189,8 +171,14 @@ def _alpha_z_raw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
     else:
         ap = sym_pow(a, (1.0 - alpha) / z).entries
         bp = sym_pow(b, alpha / (2.0 * z)).entries
-        lam = _inner_eigenvalues(bp @ ap @ bp, a.trace + b.trace)
-        q = float(np.sum(lam ** z))
+        # eigenvalues of a product that is PSD up to round-off
+        inner = bp @ ap @ bp
+        lam = eigensolve((inner + inner.T) / 2.0)
+        if lam[0] < -1e-8 * (1.0 + (a.trace + b.trace)):
+            raise NumericalError(
+                f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
+            )
+        q = float(np.sum(np.clip(lam, 0.0, None) ** z))
     return (1.0 - alpha) * a.trace + alpha * b.trace - q
 
 

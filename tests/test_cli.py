@@ -87,6 +87,10 @@ class TestParseArgs:
          "--metric", "euclid", "--num-subjects", "5"],
         ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
          "--resolutions", "8", "--metric", "euclid", "--num-subjects", "notanint"],
+        ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
+         "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--tau", "nan"],
+        ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
+         "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--tau", "inf"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

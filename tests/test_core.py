@@ -7,6 +7,7 @@ from spdid.core import (
     NonFiniteEntry,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalError,
     ShapeMismatch,
     UnknownMetric,
 )
@@ -56,8 +57,9 @@ class TestRegularize:
             )
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(InvalidParameter):
-            regularize(np.eye(2), -1.0)
+        for tau in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidParameter, match="finite and >= 0"):
+                regularize(np.eye(2), tau)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteEntry):
@@ -85,6 +87,12 @@ class TestValidateSpd:
     def test_large_asymmetry_rejected(self):
         with pytest.raises(NotSymmetric):
             validate_spd([[1.0, 0.5], [0.3, 1.0]])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_symmetrization_rejected(self):
+        # the half-sum overflows to inf and LAPACK returns NaN without raising
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+            validate_spd([[1e308, -1e308], [-1e308, 1e308]])
 
     def test_entries_write_locked(self):
         s = validate_spd(np.eye(2))

@@ -13,7 +13,9 @@ from spdid import (
 from spdid.core import (
     BaseNotFound,
     InvalidParameter,
+    NonFiniteEntry,
     NoSubjectsFound,
+    NotPositiveDefinite,
     ParseError,
     ShapeMismatch,
 )
@@ -76,6 +78,17 @@ class TestLoadMatrix:
         p.write_text("1 0\n")
         with pytest.raises(ShapeMismatch):
             load_matrix(p)
+
+    @pytest.mark.parametrize("text, error, wording", [
+        ("1 nan\nnan 1\n", NonFiniteEntry, "non-finite entry"),
+        ("1 2\n2 1\n", NotPositiveDefinite, "smallest eigenvalue"),
+        ("1 0 0\n0 1 0\n", ShapeMismatch, "expected a square matrix"),
+    ], ids=["nan-entry", "not-pd", "not-square"])
+    def test_validation_errors_name_the_file(self, tmp_path, text, error, wording):
+        p = tmp_path / "subject7.txt"
+        p.write_text(text)
+        with pytest.raises(error, match=f"subject7.txt: {wording}"):
+            load_matrix(p, tau=0.0)
 
     def test_expected_n_enforced(self, tmp_path):
         p = tmp_path / "m.txt"

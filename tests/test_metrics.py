@@ -91,6 +91,14 @@ class TestPearson:
         with pytest.raises(DegenerateVariance):
             pearson_dist(spd([[2, 1], [1, 2]]), spd(np.eye(2)))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_norms_rejected(self):
+        # identical off-diagonals, so the true distance is 0, but the centred
+        # norms overflow; the undefined correlation must not be clamped to a distance
+        m = 1e200 * np.array([[4, 1, 2, 0], [1, 4, 0, 1], [2, 0, 4, 1], [0, 1, 1, 4]])
+        with pytest.raises(NumericalError):
+            pearson_dist(spd(m), spd(m + 1e200 * np.eye(4)))
+
     def test_matches_uncached_formula_bitwise(self):
         rng = np.random.default_rng(3)
         for n in (3, 7, 7, 12):
@@ -218,6 +226,10 @@ class TestAlphaZ:
         with pytest.raises(InvalidParameter):
             alpha_z_bw(a, a, 0.5, 1.5)
 
+    def test_nan_is_not_clamped_to_zero(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            metrics._clamp_negative(float("nan"), 1.0)
+
 
 def _eig_power(m, p):
     lam, vec = np.linalg.eigh(m)
@@ -289,11 +301,21 @@ def _no_convergence(m):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
+def _nan_eigenvalues(m):
+    return np.full(m.shape[0], np.nan)
+
+
 class TestLinAlgErrorWrapped:
     @pytest.fixture
     def pair_then_failing_eigvalsh(self, monkeypatch):
         pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+        return pair
+
+    @pytest.fixture
+    def pair_then_nan_eigvalsh(self, monkeypatch):
+        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
+        monkeypatch.setattr(np.linalg, "eigvalsh", _nan_eigenvalues)
         return pair
 
     @pytest.fixture
@@ -321,6 +343,14 @@ class TestLinAlgErrorWrapped:
     def test_alpha_z_eigenvalue_path(self, pair_then_failing_eigvalsh):
         with pytest.raises(NumericalError, match="did not converge"):
             alpha_z_bw(*pair_then_failing_eigvalsh, 0.5, 0.8)
+
+    def test_affine_invariant_nan_eigenvalues(self, pair_then_nan_eigvalsh):
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+            affine_invariant(*pair_then_nan_eigvalsh)
+
+    def test_alpha_z_nan_eigenvalues(self, pair_then_nan_eigvalsh):
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+            alpha_z_bw(*pair_then_nan_eigvalsh, 0.5, 0.8)
 
 
 class TestDispatch:
