@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import InvalidParameter, SpdError, UnknownMetric, check_tau
@@ -26,22 +25,13 @@ from .metrics import KERNELS, MetricSpec
 from .pairwise import DistanceMatrix, both_directions
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    base_path: str
-    tasks: tuple[str, ...]
-    scan_types: tuple[str, str]
-    resolutions: tuple[int, ...]
-    metric: MetricSpec
-    tau: float
-    num_subjects: int
-    path_template: PathTemplate
-    out_dir: str
-    emit_heatmap: bool
-    workers: int
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and check the command line; the namespace is the run configuration.
 
-
-def _build_parser() -> argparse.ArgumentParser:
+    ``metric`` becomes a :class:`MetricSpec` that holds the kernel's parameters
+    (``--alpha`` and ``--z`` are consumed into it), ``path_template`` a
+    :class:`PathTemplate`, and the list flags tuples.
+    """
     p = argparse.ArgumentParser(
         prog="spd-id",
         description="Pairwise SPD matrix distances and subject identification rates.",
@@ -65,36 +55,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="spd_id_output")
     p.add_argument("--emit-heatmap", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    return p
-
-
-def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = p.parse_args(argv)
     try:
         params = {name: getattr(args, name) for name in KERNELS[args.metric].params}
-        metric = MetricSpec(args.metric, **params)
-        template = PathTemplate(args.path_template)
+        args.metric = MetricSpec(args.metric, **params)
+        args.path_template = PathTemplate(args.path_template)
         check_tau(args.tau)
     except (InvalidParameter, UnknownMetric) as exc:
-        parser.error(str(exc))
+        p.error(str(exc))
     if args.num_subjects < 1:
-        parser.error(f"--num-subjects must be >= 1, got {args.num_subjects}")
+        p.error(f"--num-subjects must be >= 1, got {args.num_subjects}")
     if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    return RunConfig(
-        base_path=args.base_path,
-        tasks=tuple(args.tasks),
-        scan_types=tuple(args.scan_types),
-        resolutions=tuple(args.resolutions),
-        metric=metric,
-        tau=args.tau,
-        num_subjects=args.num_subjects,
-        path_template=template,
-        out_dir=args.out_dir,
-        emit_heatmap=args.emit_heatmap,
-        workers=args.workers,
-    )
+        p.error(f"--workers must be >= 1, got {args.workers}")
+    del args.alpha, args.z
+    for name in ("tasks", "scan_types", "resolutions"):
+        setattr(args, name, tuple(getattr(args, name)))
+    return args
 
 
 def write_distance_csv(path, d: DistanceMatrix) -> None:
@@ -121,20 +97,18 @@ def _misidentified(d: DistanceMatrix) -> list[dict]:
     return out
 
 
-def _run_combination(config: RunConfig, task: str, res: int) -> dict:
-    scan1, scan2 = config.scan_types
-    recs1 = find_subject_paths(
-        config.base_path, task, scan1, [res], config.num_subjects, config.path_template
-    )
-    recs2 = find_subject_paths(
-        config.base_path, task, scan2, [res], config.num_subjects, config.path_template
-    )
-    by_id1 = {r.subject_id: r for r in recs1}
-    by_id2 = {r.subject_id: r for r in recs2}
-    common = sorted(set(by_id1) & set(by_id2))
+def _run_combination(config: argparse.Namespace, task: str, res: int) -> dict:
+    by_scan = []
+    for scan in config.scan_types:
+        recs = find_subject_paths(
+            config.base_path, task, scan, [res], config.num_subjects, config.path_template
+        )
+        by_scan.append({r.subject_id: r.path for r in recs})
+    ids1, ids2 = (set(by_id) for by_id in by_scan)
+    common = sorted(ids1 & ids2)
     if not common:
         raise SpdError(f"no subjects present in both scan types for {task}/{res}")
-    dropped = (set(by_id1) | set(by_id2)) - set(common)
+    dropped = ids1 ^ ids2
     if dropped:
         print(
             f"warning: {task}/{res}: dropping subjects missing one scan: "
@@ -142,8 +116,9 @@ def _run_combination(config: RunConfig, task: str, res: int) -> dict:
             file=sys.stderr,
         )
 
-    mats1 = [load_matrix(by_id1[s].path, config.tau, expected_n=res) for s in common]
-    mats2 = [load_matrix(by_id2[s].path, config.tau, expected_n=res) for s in common]
+    mats1, mats2 = (
+        [load_matrix(by_id[s], config.tau, expected_n=res) for s in common] for by_id in by_scan
+    )
     d12, d21 = both_directions(
         mats1, mats2, config.metric, common, common, workers=config.workers
     )
@@ -176,7 +151,7 @@ def _run_combination(config: RunConfig, task: str, res: int) -> dict:
     return {"task": task, "res": res, "n": report.n_subjects, "mean": report.mean}
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     results = []
     failures = []
     for task in config.tasks:
@@ -198,7 +173,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> None:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
+    config = parse_args(argv)
     sys.exit(run(config))
 
 

@@ -70,9 +70,10 @@ def find_subject_paths(
 ) -> list[SubjectRecord]:
     """Discover up to ``n`` subjects per resolution under ``base``.
 
-    The template is expanded with a wildcard in the {subject} slot and globbed;
-    subject ids are recovered from the matches. Results are sorted by subject
-    id (then resolution) so the listing is deterministic across platforms.
+    The template is expanded with a wildcard in the {subject} slot and globbed
+    (glob metacharacters elsewhere match literally); subject ids are recovered
+    from the matches. Results are sorted by subject id (then resolution) so
+    the listing is deterministic across platforms.
     """
     base = os.fspath(base)
     if not os.path.isdir(base):
@@ -86,7 +87,7 @@ def find_subject_paths(
         filled = template.pattern.format(
             base=base, subject="{subject}", task=task, scan=scan, res=res
         )
-        glob_pattern = filled.replace("{subject}", "*")
+        glob_pattern = "*".join(glob.escape(part) for part in filled.split("{subject}"))
         tried_globs.append(glob_pattern)
         rx = _subject_regex(filled)
         found: dict[str, str] = {}
@@ -107,11 +108,12 @@ def find_subject_paths(
 def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMatrix:
     """Parse a dense text matrix and regularize it with diagonal shift ``tau``.
 
-    Rows are lines; entries are whitespace- or comma-separated (detected from
-    the first data line). Scientific notation is accepted. Errors name the path.
+    The file is decoded as UTF-8, with or without a byte-order mark. Rows are
+    lines; entries are whitespace- or comma-separated (detected from the first
+    data line). Scientific notation is accepted. Errors name the path.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read as text: {exc}") from exc
     lines = [(k + 1, ln) for k, ln in enumerate(text.splitlines()) if ln.strip()]

@@ -41,6 +41,16 @@ def base_argv(base, out, metric="alpha_z", res=8, n=6, extra=()):
     ]
 
 
+# A bad REST_RL_5.txt (None: a directory in its place) and the error it must raise.
+UNLOADABLE = [
+    ("non_utf8", b"\xff\xfe\x00\x81\n", "ParseError"),
+    ("directory", None, "ParseError"),
+    ("singular", np.ones((5, 5)), "NotPositiveDefinite"),
+    ("order_4", np.eye(4), "ShapeMismatch"),
+    ("nan", np.diag([np.nan, 1.0, 1.0, 1.0, 1.0]), "NonFiniteEntry"),
+]
+
+
 class TestParseArgs:
     def test_full_invocation(self):
         cfg = parse_args(
@@ -76,6 +86,13 @@ class TestParseArgs:
         assert cfg.metric.z == 1.0
         assert cfg.tau == 1e-6
         assert cfg.workers == 1
+
+    def test_namespace_schema(self):
+        # bench/tracer.py reads these attributes; a renamed or leftover one fails here.
+        assert sorted(vars(parse_args(base_argv("b", "o")))) == [
+            "base_path", "emit_heatmap", "metric", "num_subjects", "out_dir",
+            "path_template", "resolutions", "scan_types", "tasks", "tau", "workers",
+        ]
 
     @pytest.mark.parametrize("argv", [
         ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
@@ -185,16 +202,18 @@ class TestRun:
         assert "1.000" in captured.out  # res=8 still ran
         assert "99" in captured.err
 
-    @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
-    def test_unreadable_file_fails_only_its_resolution(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind,content,error", UNLOADABLE, ids=[c[0] for c in UNLOADABLE])
+    def test_unreadable_file_fails_only_its_resolution(self, tmp_path, capsys, kind, content, error):
         write_cohort(tmp_path / "data", res=8)
         write_cohort(tmp_path / "data", res=5)
         bad = tmp_path / "data" / "s003" / "REST_RL_5.txt"
         bad.unlink()
-        if kind == "non_utf8":
-            bad.write_bytes(b"\xff\xfe\x00\x81\n")
-        else:
+        if content is None:
             bad.mkdir()
+        elif isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            save_matrix(bad, content)
         out = tmp_path / "out"
         cfg = parse_args(
             [
@@ -210,7 +229,8 @@ class TestRun:
         )
         assert run(cfg) == 1
         err = capsys.readouterr().err
-        assert "error: REST/5: ParseError" in err and "REST_RL_5.txt" in err
+        line = next(ln for ln in err.splitlines() if ln.startswith("error: REST/5: "))
+        assert line.startswith(f"error: REST/5: {error}: ") and "REST_RL_5.txt" in line
         assert not (out / "REST_5").exists()
         assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
             "D12.csv", "D21.csv", "report.json",

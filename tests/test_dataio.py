@@ -108,6 +108,15 @@ class TestLoadMatrix:
         with pytest.raises(ParseError, match="m.txt"):
             load_matrix(p)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text("2,1\n1,2\n", encoding="utf-8")
+        bom.write_text("2,1\n1,2\n", encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(
+            load_matrix(bom, tau=0.0).entries, load_matrix(plain, tau=0.0).entries
+        )
+
     def test_directory_path(self, tmp_path):
         p = tmp_path / "m.txt"
         p.mkdir()
@@ -160,6 +169,19 @@ class TestFindSubjectPaths:
         save_matrix(tmp_path / "s01" / "REST_LR_3.txt", np.eye(3))
         recs = find_subject_paths(tmp_path, "REST", "LR", [5, 3], 10, TEMPLATE)
         assert [(r.subject_id, r.resolution) for r in recs] == [("s01", 5), ("s01", 3)]
+
+    @pytest.mark.parametrize("base_name", ["run[1]", "a*b"])
+    def test_glob_metacharacters_in_base_match_literally(self, tmp_path, base_name):
+        base = tmp_path / base_name
+        base.mkdir()
+        make_tree(base, ["s01", "s02"])
+        # "a*b" as a glob would also match this sibling; "run[1]" would match only "run1".
+        sibling = tmp_path / "aXb"
+        sibling.mkdir()
+        make_tree(sibling, ["s99"])
+        recs = find_subject_paths(base, "REST", "LR", [5], 10, TEMPLATE)
+        assert [r.subject_id for r in recs] == ["s01", "s02"]
+        assert all(r.path.startswith(str(base)) for r in recs)
 
     def test_template_requires_placeholders(self):
         with pytest.raises(InvalidParameter):
