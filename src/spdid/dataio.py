@@ -50,9 +50,8 @@ class SubjectRecord:
     path: str
 
 
-def _subject_regex(filled: str) -> re.Pattern:
-    # `filled` still contains {subject}; everything else is literal.
-    parts = filled.split("{subject}")
+def _subject_regex(parts: list[str]) -> re.Pattern:
+    # The literal parts of a path around its {subject} slots.
     pattern = re.escape(parts[0])
     for k, part in enumerate(parts[1:]):
         group = r"(?P<subject>[^/\\]+)" if k == 0 else r"(?P=subject)"
@@ -84,12 +83,15 @@ def find_subject_paths(
     records: list[SubjectRecord] = []
     tried_globs = []
     for res in resolutions:
-        filled = template.pattern.format(
-            base=base, subject="{subject}", task=task, scan=scan, res=res
-        )
-        glob_pattern = "*".join(glob.escape(part) for part in filled.split("{subject}"))
+        # Split before formatting, so a base, task or scan containing the
+        # text "{subject}" stays literal.
+        parts = [
+            part.format(base=base, task=task, scan=scan, res=res)
+            for part in template.pattern.split("{subject}")
+        ]
+        glob_pattern = "*".join(glob.escape(part) for part in parts)
         tried_globs.append(glob_pattern)
-        rx = _subject_regex(filled)
+        rx = _subject_regex(parts)
         found: dict[str, str] = {}
         for path in glob.glob(glob_pattern):
             m = rx.match(path)
@@ -109,8 +111,15 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
     """Parse a dense text matrix and regularize it with diagonal shift ``tau``.
 
     The file is decoded as UTF-8, with or without a byte-order mark. Rows are
-    lines; entries are whitespace- or comma-separated (detected from the first
-    data line). Scientific notation is accepted. Errors name the path.
+    lines; blank lines are skipped; entries are whitespace- or comma-separated
+    (detected from the first data line). Scientific notation is accepted.
+    Errors name the path.
+
+    Numbers are read by ``np.loadtxt`` in one call. Only when it rejects the
+    text does a Python tokenizer parse it again, which either words the error
+    (line and field of a non-numeric token, or a ragged row) or accepts what
+    ``float`` accepts and ``loadtxt`` does not: empty comma fields, a trailing
+    comma, underscores between digits, and non-ASCII digits.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -120,7 +129,22 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
     if not lines:
         raise ParseError(f"{path}: file contains no data")
     comma = "," in lines[0][1]
+    try:
+        rows = np.loadtxt(
+            [ln for _, ln in lines], comments=None, ndmin=2, delimiter="," if comma else None
+        )
+    except ValueError:
+        rows = _tokenize(path, lines, comma)
 
+    if expected_n is not None and len(rows) != expected_n:
+        raise ShapeMismatch(f"{path}: expected order {expected_n}, got {len(rows)}")
+    try:
+        return regularize(rows, tau)
+    except SpdError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _tokenize(path, lines: list[tuple[int, str]], comma: bool) -> list[list[float]]:
     rows: list[list[float]] = []
     for lineno, ln in lines:
         tokens = [t for t in (ln.split(",") if comma else ln.split()) if t.strip()]
@@ -137,13 +161,7 @@ def load_matrix(path, tau: float = 1e-6, expected_n: int | None = None) -> SpdMa
                 f"{path}: ragged row at line {lineno}: {len(row)} fields, expected {len(rows[0])}"
             )
         rows.append(row)
-
-    if expected_n is not None and len(rows) != expected_n:
-        raise ShapeMismatch(f"{path}: expected order {expected_n}, got {len(rows)}")
-    try:
-        return regularize(rows, tau)
-    except SpdError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return rows
 
 
 def save_matrix(path, entries: np.ndarray) -> None:

@@ -98,16 +98,23 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     iu = _upper_indices(a.n)
     x = a.entries[iu]
     y = b.entries[iu]
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = float(np.sqrt(xc @ xc))
-    ny = float(np.sqrt(yc @ yc))
+    xc, nx = _centred(x)
+    yc, ny = _centred(y)
+    if nx and ny and not np.isfinite(nx * ny):
+        # The mean or a norm overflowed. Correlation is scale-invariant, so
+        # redo it on the unit-scaled triangles; inputs that do not overflow
+        # never take this branch and keep their bits.
+        xc, nx = _centred(x / np.abs(x).max())
+        yc, ny = _centred(y / np.abs(y).max())
     if nx == 0.0 or ny == 0.0:
         raise DegenerateVariance("strict upper triangle is constant; correlation undefined")
-    if not np.isfinite(nx * ny):
-        raise NumericalError("pearson correlation overflowed; the entries are too large")
     r = min(1.0, max(-1.0, float(xc @ yc) / (nx * ny)))
     return 1.0 - r
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    xc = x - x.mean()
+    return xc, float(np.sqrt(xc @ xc))
 
 
 def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spdid import dataio
 from spdid import (
     MetricSpec,
     PathTemplate,
@@ -18,6 +23,7 @@ from spdid.core import (
     NotPositiveDefinite,
     ParseError,
     ShapeMismatch,
+    SpdError,
 )
 
 TEMPLATE = PathTemplate("{base}/{subject}/{task}_{scan}_{res}.txt")
@@ -137,6 +143,97 @@ class TestLoadMatrix:
         assert np.abs(back.entries - m).max() <= 1e-12
 
 
+def _load_outcome(path):
+    try:
+        return "ok", load_matrix(path).entries.tobytes()
+    except SpdError as exc:
+        return type(exc), str(exc)
+
+
+def _fast_and_fallback(path):
+    """load_matrix as is, and again with np.loadtxt refusing every input."""
+    fast = _load_outcome(path)
+    with mock.patch.object(dataio.np, "loadtxt", side_effect=ValueError("forced")):
+        fallback = _load_outcome(path)
+    return fast, fallback
+
+
+_ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _matrix_text(draw):
+    # Diagonally dominant, so validation passes and the entries are compared.
+    n = draw(st.integers(1, 4))
+    comma = draw(st.booleans())
+    seps = [",", ", ", " ,", ",,", ",\t"] if comma else [" ", "\t", "\xa0", "  "]
+    lines = []
+    for i in range(n):
+        cells = []
+        for j in range(n):
+            v = draw(st.floats(n, 1e6) if i == j else st.floats(-1.0, 1.0))
+            tok = draw(st.sampled_from(["{!r}", "{:.17g}", "{:.3e}"])).format(v)
+            look = draw(st.sampled_from(["plain", "underscore", "arabic"]))
+            if look == "underscore" and tok[:2].isdigit():
+                tok = tok[0] + "_" + tok[1:]
+            elif look == "arabic":
+                tok = tok.translate(_ARABIC_DIGITS)
+            cells.append(tok)
+        sep = draw(st.sampled_from(seps))
+        tail = draw(st.sampled_from(["", " ", sep.strip() if comma else "\t"]))
+        lines.append(sep.join(cells) + tail)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+_PIECES = [*"0123456789+-.eE_, \t\xa0#", "١", "nan", "inf"]
+_RANDOM_TEXT = st.lists(
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join), min_size=1, max_size=5
+).map("\n".join)
+
+
+class TestFastPathAndFallbackAgree:
+    """np.loadtxt parses; the tokenizer it falls back to must give the same result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_matrix_text(), _RANDOM_TEXT))
+    def test_agree_on_drawn_text(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "drawn.txt"
+        p.write_bytes(text.encode("utf-8"))
+        fast, fallback = _fast_and_fallback(p)
+        assert fast == fallback
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("2,1,\n1,2,\n", "ok"),
+        ("2,,1\n1,,2\n", "ok"),
+        ("2 1\n1 2 # note\n", ParseError),
+        ("2 nan\nnan 2\n", NonFiniteEntry),
+        ("\ufeff2 1\n1 2\n", "ok"),
+        ("2 1\r\n1 2\r\n", "ok"),
+        ("\n \t\n2 1\n\xa0\n1 2\n\n", "ok"),
+        ("2 1\n1\n", ParseError),
+        ("3\n", "ok"),
+        ("2\n1\n", ShapeMismatch),
+        ("1_0 1\n1 2\n", "ok"),
+        ("٢ 1\n1 2\n", "ok"),
+    ], ids=[
+        "trailing-comma", "empty-comma-field", "hash", "nan", "bom", "crlf",
+        "whitespace-lines", "ragged", "1x1", "single-column", "underscore", "arabic-digit",
+    ])
+    def test_agree_on_named_cases(self, tmp_path, text, outcome):
+        p = tmp_path / "m.txt"
+        p.write_bytes(text.encode("utf-8"))
+        fast, fallback = _fast_and_fallback(p)
+        assert fast == fallback
+        assert fast[0] == outcome
+
+    def test_plain_files_skip_the_tokenizer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_tokenize", mock.Mock(side_effect=AssertionError))
+        for text in ("2 1\n1 2\n", "2,1\n1,2\n", " 2\t1 \n\n1  2\n"):
+            p = tmp_path / "m.txt"
+            p.write_text(text)
+            load_matrix(p)
+
+
 class TestFindSubjectPaths:
     def test_discovery_truncated_and_sorted(self, tmp_path):
         make_tree(tmp_path, ["s03", "s01", "s02"])
@@ -182,6 +279,15 @@ class TestFindSubjectPaths:
         recs = find_subject_paths(base, "REST", "LR", [5], 10, TEMPLATE)
         assert [r.subject_id for r in recs] == ["s01", "s02"]
         assert all(r.path.startswith(str(base)) for r in recs)
+
+    def test_subject_placeholder_text_in_base_is_literal(self, tmp_path):
+        base = tmp_path / "edge" / "d{subject}"
+        base.mkdir(parents=True)
+        make_tree(base, ["s01"], scans=("LR",), res=2)
+        recs = find_subject_paths(base, "REST", "LR", [2], 10, TEMPLATE)
+        assert [(r.subject_id, r.path) for r in recs] == [
+            ("s01", str(base / "s01" / "REST_LR_2.txt"))
+        ]
 
     def test_template_requires_placeholders(self):
         with pytest.raises(InvalidParameter):

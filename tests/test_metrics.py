@@ -92,12 +92,15 @@ class TestPearson:
             pearson_dist(spd([[2, 1], [1, 2]]), spd(np.eye(2)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    def test_overflowing_norms_rejected(self):
-        # identical off-diagonals, so the true distance is 0, but the centred
-        # norms overflow; the undefined correlation must not be clamped to a distance
+    def test_overflowing_norms_rescaled(self):
+        # identical off-diagonals, so the true distance is 0, but the product
+        # of the centred norms overflows; the rescaled triangles still answer
         m = 1e200 * np.array([[4, 1, 2, 0], [1, 4, 0, 1], [2, 0, 4, 1], [0, 1, 1, 4]])
-        with pytest.raises(NumericalError):
-            pearson_dist(spd(m), spd(m + 1e200 * np.eye(4)))
+        assert 0.0 <= pearson_dist(spd(m), spd(m + 1e200 * np.eye(4))) <= 1e-15
+        rng = np.random.default_rng(8)
+        a, b = random_spd(rng, 6), random_spd(rng, 6)
+        scaled = pearson_dist(spd(1e160 * a.entries), spd(1e160 * b.entries))
+        assert abs(scaled - pearson_dist(a, b)) <= 1e-14
 
     def test_matches_uncached_formula_bitwise(self):
         rng = np.random.default_rng(3)
