@@ -86,14 +86,15 @@ def as_square(entries) -> np.ndarray:
 class SpdMatrix:
     """A validated symmetric positive-definite matrix.
 
-    The entries are immutable: the array is write-locked, and the smallest
-    eigenvalue found at validation time is stored with it. The spectrum, the
-    matrix powers and the logarithm are computed lazily by :mod:`spdid.matfun`
-    and cached in ``_cache``, whose layout only that module knows. Construct
-    through :func:`validate_spd` or :func:`regularize` rather than directly.
+    The entries are immutable: the array is write-locked, and the trace and
+    the smallest eigenvalue found at validation time are stored with it. The
+    spectrum, the matrix powers and the logarithm are computed lazily by
+    :mod:`spdid.matfun` and cached in ``_cache``, whose layout only that
+    module knows. Construct through :func:`validate_spd` or
+    :func:`regularize` rather than directly.
     """
 
-    __slots__ = ("entries", "min_eigenvalue", "_cache")
+    __slots__ = ("entries", "min_eigenvalue", "trace", "_cache")
 
     def __init__(self, sym_entries: np.ndarray, min_eigenvalue: float):
         # sym_entries must already be exactly symmetric and PD-checked.
@@ -101,15 +102,12 @@ class SpdMatrix:
         sym_entries.setflags(write=False)
         self.entries = sym_entries
         self.min_eigenvalue = float(min_eigenvalue)
+        self.trace = float(np.trace(sym_entries))
         self._cache: dict = {}
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
 
     def __repr__(self) -> str:
         return f"SpdMatrix(n={self.n}, min_eigenvalue={self.min_eigenvalue:.6g})"
@@ -133,7 +131,16 @@ def eigensolve(sym: np.ndarray, vectors: bool = False):
 
 def _finish_validation(sym: np.ndarray) -> SpdMatrix:
     """PD-check an exactly-symmetric matrix and wrap it."""
-    lam_min = float(eigensolve(sym)[0])
+    try:
+        lam_min = float(eigensolve(sym)[0])
+    except NumericalError as exc:
+        # finite entries whose half-sum (or tau shift) overflowed to inf
+        if not np.all(np.isfinite(sym)):
+            bad = np.argwhere(~np.isfinite(sym))[0]
+            raise NonFiniteEntry(
+                f"entries overflow when symmetrized at ({bad[0]}, {bad[1]})"
+            ) from exc
+        raise
     if lam_min <= PD_FLOOR:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lam_min:.6g} is at or below the floor "

@@ -21,6 +21,16 @@ centered Gaussians; alpha_pro and alpha_z are the alpha-Procrustes and
 alpha-z Bures-Wasserstein families. alpha_z is a divergence, not a metric:
 it is generally asymmetric in (A, B).
 
+bw (and through it alpha_pro) is evaluated in the trace form above, from the
+eigenvalues alone, with a Procrustes-form fallback where the subtraction
+would cancel (see :func:`bures_wasserstein`).
+
+Every kernel but alpha_z is symmetric, as its :data:`KERNELS` entry records.
+:meth:`MetricSpec.kernel` evaluates a symmetric kernel in one canonical
+orientation, the matrix with the smaller trace first, so k(a, b) and
+k(b, a) are the same bits and a sweep may transpose one direction into the
+other.
+
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, an O(n^2)
 entrywise product of two powers that are cached once per matrix.
@@ -98,8 +108,9 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     iu = _upper_indices(a.n)
     x = a.entries[iu]
     y = b.entries[iu]
-    xc, nx = _centred(x)
-    yc, ny = _centred(y)
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        xc, nx = _centred(x)
+        yc, ny = _centred(y)
     if nx and ny and not np.isfinite(nx * ny):
         # The mean or a norm overflowed. Correlation is scale-invariant, so
         # redo it on the unit-scaled triangles; inputs that do not overflow
@@ -127,6 +138,7 @@ def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     """Geodesic distance under the affine-invariant Riemannian metric."""
     _same_order(a, b)
     isq = sym_inv_sqrt(a).entries
+    sym_inv_sqrt(b)  # touched on both sides, so the sweep's warm-up fills it
     inner = isq @ b.entries @ isq
     lam = eigensolve((inner + inner.T) / 2.0)
     if lam[0] <= 0.0:
@@ -136,19 +148,33 @@ def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
+# bw's trace form is trusted while d^2 >= _BW_TRACE_FLOOR * (tr A + tr B);
+# below it the subtraction has cancelled too many digits.
+_BW_TRACE_FLOOR = 1e-3
+
+
 def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     """Bures-Wasserstein distance (optimal transport between Gaussians).
 
-    Defined as sqrt(tr A + tr B - 2 tr (A^{1/2} B A^{1/2})^{1/2}), but
-    evaluated in the equivalent Procrustes form ||A^{1/2} - B^{1/2} U||_F
-    with U the polar factor of B^{1/2} A^{1/2}: the trace subtraction
-    cancels catastrophically near A = B, the norm of a difference does not.
+    Evaluated in the trace form d^2 = tr A + tr B - 2 sum_i sqrt(lambda_i),
+    with lambda the eigenvalues of A^{1/2} B A^{1/2} from one eigenvalue-only
+    solve (Bhatia, Jain & Lim 2019). That subtraction cancels
+    catastrophically near A = B, so when d^2 < _BW_TRACE_FLOOR * (tr A + tr B)
+    the distance is recomputed in the equivalent Procrustes form
+    ||A^{1/2} - B^{1/2} U||_F, with U the polar factor of B^{1/2} A^{1/2}:
+    the norm of a difference does not cancel. Swapping A and B can change
+    the last bits; :meth:`MetricSpec.kernel` fixes the orientation.
     """
     _same_order(a, b)
     sq_a = sym_sqrt(a).entries
-    sq_b = sym_sqrt(b).entries
+    sq_b = sym_sqrt(b).entries  # read on both sides, so the sweep's warm-up fills it
     inner = sq_a @ b.entries @ sq_a
-    lam, vec = eigensolve((inner + inner.T) / 2.0, vectors=True)
+    inner = (inner + inner.T) / 2.0
+    scale = a.trace + b.trace
+    d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(eigensolve(inner), 0.0, None))))
+    if d2 >= _BW_TRACE_FLOOR * scale:
+        return float(np.sqrt(d2))
+    lam, vec = eigensolve(inner, vectors=True)
     # By congruence, lambda_min(sqrt(A) B sqrt(A)) >= lambda_min(A) *
     # lambda_min(B) > 0 for validated SPD inputs, so flooring only repairs
     # eigensolver round-off and keeps lambda^(-1/2) finite.
@@ -214,19 +240,21 @@ class Kernel(NamedTuple):
     fn: Callable[..., float]
     # MetricSpec fields passed to fn as keywords, each with its range check
     params: dict[str, Callable[[float | None], None]]
+    # fn(a, b) == fn(b, a) mathematically: the sweep computes one direction
+    symmetric: bool
 
 
 # The one definition of each kernel's name, function and parameters: MetricSpec
 # validation, the CLI's --metric choices, report.json's metric block and the
 # sweep all read it, so adding a kernel adds one function and one entry here.
 KERNELS: dict[str, Kernel] = {
-    "alpha_z": Kernel(alpha_z_bw, {"alpha": _check_alpha, "z": _check_z}),
-    "alpha_pro": Kernel(alpha_procrustes, {"alpha": _check_alpha}),
-    "bw": Kernel(bures_wasserstein, {}),
-    "ai": Kernel(affine_invariant, {}),
-    "log": Kernel(log_euclid, {}),
-    "pearson": Kernel(pearson_dist, {}),
-    "euclid": Kernel(euclid, {}),
+    "alpha_z": Kernel(alpha_z_bw, {"alpha": _check_alpha, "z": _check_z}, False),
+    "alpha_pro": Kernel(alpha_procrustes, {"alpha": _check_alpha}, True),
+    "bw": Kernel(bures_wasserstein, {}, True),
+    "ai": Kernel(affine_invariant, {}, True),
+    "log": Kernel(log_euclid, {}, True),
+    "pearson": Kernel(pearson_dist, {}, True),
+    "euclid": Kernel(euclid, {}, True),
 }
 
 
@@ -252,8 +280,25 @@ class MetricSpec:
         return {name: getattr(self, name) for name in KERNELS[self.kind].params}
 
     def kernel(self) -> Callable[[SpdMatrix, SpdMatrix], float]:
-        """The kernel as a function of the pair (a, b), its parameters bound."""
-        return functools.partial(KERNELS[self.kind].fn, **self.params)
+        """The kernel as a function of the pair (a, b), its parameters bound.
+
+        A symmetric kernel is evaluated with the smaller-trace matrix first,
+        ties broken by the entries' bytes: every unordered pair then has one
+        orientation, and (a, b) and (b, a) give the same bits.
+        """
+        record = KERNELS[self.kind]
+        fn = functools.partial(record.fn, **self.params)
+        if not record.symmetric:
+            return fn
+
+        def oriented(a: SpdMatrix, b: SpdMatrix) -> float:
+            if b.trace < a.trace or (
+                b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes()
+            ):
+                a, b = b, a
+            return fn(a, b)
+
+        return oriented
 
 
 def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:

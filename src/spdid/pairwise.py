@@ -3,10 +3,17 @@
 Each cell is computed independently from the matrix entries and written to its
 preassigned slot, so the result is bitwise identical for any worker count.
 Row 0 and then column 0 are computed serially first: every gallery matrix
-meets the kernel once on the gallery side and every probe matrix once on the
-probe side, which fills the spectra and matrix powers the kernel caches on
-each matrix before any worker thread starts. The remaining rows go to the
-pool, one probe row per unit of work, and only read those caches.
+meets the kernel once in row 0 and every probe matrix once in column 0.
+alpha_z reads a matrix's state only on its own side; every other kernel reads
+the same state of both arguments, whichever its canonical orientation puts
+first. Either way the spectra and matrix powers the kernel caches on each
+matrix are filled before any worker thread starts. The remaining rows go to
+the pool, one probe row per unit of work, and only read those caches.
+
+For a symmetric kernel :func:`both_directions` computes one direction and
+transposes it; the kernel's canonical orientation (see
+:meth:`spdid.metrics.MetricSpec.kernel`) makes that transpose bitwise equal
+to computing the other direction.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatch, InvalidParameter, SpdError, SpdMatrix
-from .metrics import MetricSpec
+from .metrics import KERNELS, MetricSpec
 
 
 @dataclass(frozen=True)
@@ -103,11 +110,15 @@ def both_directions(
     labels2: Sequence[str] | None = None,
     workers: int = 1,
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
-    """(set1 -> set2, set2 -> set1) cross matrices, both genuinely computed.
+    """(set1 -> set2, set2 -> set1) cross matrices.
 
-    No transpose shortcut: the alpha_z divergence is asymmetric, so both
-    directions are evaluated even for symmetric metrics.
+    For a symmetric kernel the second is the transpose of the first, bit for
+    bit equal to ``cross_distances(set2, set1, ...)``. The alpha_z divergence
+    is asymmetric, so it is computed in both directions.
     """
     d12 = cross_distances(set1, set2, spec, labels1, labels2, workers)
-    d21 = cross_distances(set2, set1, spec, labels2, labels1, workers)
+    if KERNELS[spec.kind].symmetric:
+        d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
+    else:
+        d21 = cross_distances(set2, set1, spec, labels2, labels1, workers)
     return d12, d21

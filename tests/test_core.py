@@ -7,7 +7,6 @@ from spdid.core import (
     NonFiniteEntry,
     NotPositiveDefinite,
     NotSymmetric,
-    NumericalError,
     ShapeMismatch,
     UnknownMetric,
 )
@@ -69,6 +68,12 @@ class TestRegularize:
         with pytest.raises(ShapeMismatch):
             regularize(np.ones((2, 3)), 0.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_symmetrization_rejected(self):
+        # finite entries whose half-sum overflows off the diagonal
+        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 1\)"):
+            regularize([[1.0, 1.5e308], [1.5e308, 1.0]], 0.0)
+
 
 class TestValidateSpd:
     def test_identity_accepted(self):
@@ -90,8 +95,8 @@ class TestValidateSpd:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_symmetrization_rejected(self):
-        # the half-sum overflows to inf and LAPACK returns NaN without raising
-        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+        # every entry is finite, but the half-sum overflows to inf
+        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
             validate_spd([[1e308, -1e308], [-1e308, 1e308]])
 
     def test_entries_write_locked(self):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,15 +92,17 @@ class TestPearson:
         with pytest.raises(DegenerateVariance):
             pearson_dist(spd([[2, 1], [1, 2]]), spd(np.eye(2)))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_norms_rescaled(self):
         # identical off-diagonals, so the true distance is 0, but the product
         # of the centred norms overflows; the rescaled triangles still answer
         m = 1e200 * np.array([[4, 1, 2, 0], [1, 4, 0, 1], [2, 0, 4, 1], [0, 1, 1, 4]])
-        assert 0.0 <= pearson_dist(spd(m), spd(m + 1e200 * np.eye(4))) <= 1e-15
         rng = np.random.default_rng(8)
         a, b = random_spd(rng, 6), random_spd(rng, 6)
-        scaled = pearson_dist(spd(1e160 * a.entries), spd(1e160 * b.entries))
+        big_a, big_b = spd(1e160 * a.entries), spd(1e160 * b.entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert 0.0 <= pearson_dist(spd(m), spd(m + 1e200 * np.eye(4))) <= 1e-15
+            scaled = pearson_dist(big_a, big_b)
         assert abs(scaled - pearson_dist(a, b)) <= 1e-14
 
     def test_matches_uncached_formula_bitwise(self):
@@ -169,6 +172,62 @@ class TestBuresWasserstein:
     def test_commuting_closed_form(self):
         got = bures_wasserstein(diag(1.0, 9.0), diag(4.0, 4.0))
         assert got == pytest.approx(np.sqrt(2), rel=1e-12)
+
+    @pytest.mark.parametrize("c,fallback", [(1.0 + 1e-9, True), (1.01, True), (1.2, False), (9.0, False)])
+    def test_procrustes_fallback_only_below_floor(self, monkeypatch, c, fallback):
+        # bw(A, cA)^2 / (tr A + tr cA) = (1 - sqrt c)^2 / (1 + c): 2.5e-5 at
+        # c = 1.01, 4.4e-3 at c = 1.2, either side of the 1e-3 floor
+        rng = np.random.default_rng(11)
+        a = random_spd(rng, 6)
+        b = spd(c * a.entries)
+        calls = []
+        solve = metrics.eigensolve
+        monkeypatch.setattr(
+            metrics, "eigensolve", lambda m, vectors=False: calls.append(vectors) or solve(m, vectors)
+        )
+        got = bures_wasserstein(a, b)
+        assert calls == ([False, True] if fallback else [False])
+        assert got == pytest.approx(abs(1.0 - np.sqrt(c)) * np.sqrt(a.trace), rel=1e-6)
+
+
+def _bw_reference(a, b):
+    """||A^{1/2} - B^{1/2} U||_F with U the polar factor from an SVD: no trace cancellation."""
+    sa, sb = _eig_power(a.entries, 0.5), _eig_power(b.entries, 0.5)
+    p, _, qt = np.linalg.svd(sb.T @ sa)
+    return float(np.linalg.norm(sa - sb @ (p @ qt)))
+
+
+class TestBuresWassersteinTraceForm:
+    """The trace form near its 1e-3 floor, where the Procrustes fallback takes over."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        log_cond=st.floats(0.0, 4.0),
+        log_scale=st.floats(-3.0, 3.0),
+        scaled=st.booleans(),
+        log_step=st.floats(-12.0, -0.5),
+    )
+    def test_matches_reference_across_floor(self, seed, n, log_cond, log_scale, scaled, log_step):
+        rng = np.random.default_rng(seed)
+        a = _spd_with_condition(rng, n, log_cond, log_scale)
+        if scaled:
+            # a scaled copy: d^2 / (tr A + tr B) = (1 - sqrt c)^2 / (1 + c)
+            b = spd((1.0 + 10.0**log_step) * a.entries)
+        else:
+            # a near-equal pair: a perturbation of norm 10**log_step * lambda_min(A)
+            g = rng.standard_normal((n, n))
+            g = (g + g.T) / np.linalg.norm(g + g.T, 2)
+            b = spd(a.entries + 10.0**log_step * a.min_eigenvalue * g)
+        scale = a.trace + b.trace
+        got, want = bures_wasserstein(a, b), _bw_reference(a, b)
+        # the benchmark oracle's criterion on d^2 everywhere, and the closed-form
+        # oracles' relative 1e-10 on d wherever the trace form answers
+        assert abs(got**2 - want**2) <= 1e-10 * scale
+        if want**2 >= 1e-3 * scale:
+            assert abs(got - want) <= 1e-10 * want
+        assert bures_wasserstein(a, a) <= 1e-8 * (1.0 + a.trace)
 
 
 class TestAlphaProcrustes:
@@ -354,6 +413,59 @@ class TestLinAlgErrorWrapped:
     def test_alpha_z_nan_eigenvalues(self, pair_then_nan_eigvalsh):
         with pytest.raises(NumericalError, match="non-finite eigenvalues"):
             alpha_z_bw(*pair_then_nan_eigvalsh, 0.5, 0.8)
+
+
+SYMMETRIC_SPECS = [
+    MetricSpec("euclid"),
+    MetricSpec("pearson"),
+    MetricSpec("log"),
+    MetricSpec("ai"),
+    MetricSpec("bw"),
+    MetricSpec("alpha_pro", alpha=0.3),
+]
+
+
+def _outcome(kernel, a, b):
+    """The kernel's value as exact hex, or the type and text of the error it raises."""
+    try:
+        return kernel(a, b).hex()
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalOrientation:
+    """MetricSpec.kernel() gives the same bits for (a, b) and (b, a)."""
+
+    def test_symmetric_flag(self):
+        assert [k for k, rec in metrics.KERNELS.items() if not rec.symmetric] == ["alpha_z"]
+        assert sorted(s.kind for s in SYMMETRIC_SPECS) == sorted(
+            k for k, rec in metrics.KERNELS.items() if rec.symmetric
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        log_cond=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_swapped_pair_bitwise_equal(self, seed, n, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        a = _spd_with_condition(rng, n, log_cond, log_scale)
+        b = _spd_with_condition(rng, n, log_cond, log_scale)
+        for spec in SYMMETRIC_SPECS:
+            k = spec.kernel()
+            ab, ba = _outcome(k, a, b), _outcome(k, b, a)
+            assert ab == ba, spec.kind
+
+    def test_equal_traces_ordered_by_entries(self):
+        # both traces are exactly 15, so the entries' bytes decide the order
+        a = spd([[4, 1, 0], [1, 5, 2], [0, 2, 6]])
+        b = spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]])
+        assert a.trace == b.trace
+        for spec in SYMMETRIC_SPECS:
+            k = spec.kernel()
+            assert _outcome(k, a, b) == _outcome(k, b, a), spec.kind
 
 
 class TestDispatch:

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from spdid import MetricSpec, both_directions, cross_distances, validate_spd
+from spdid import MetricSpec, SpdMatrix, both_directions, cross_distances, validate_spd
 from spdid.core import DimensionMismatch, InvalidParameter, NumericalError
 from support import spd_pool
+
+
+KERNEL_CONFIGS = [
+    ("euclid", None, None),
+    ("pearson", None, None),
+    ("log", None, None),
+    ("ai", None, None),
+    ("bw", None, None),
+    ("alpha_pro", 0.3, None),
+    ("alpha_z", 0.99, 1.0),
+    ("alpha_z", 0.5, 0.8),
+]
 
 
 def scalar(v):
@@ -35,12 +47,14 @@ def test_alpha_z_scalar_cross_matrix_asymmetric():
     assert d.values[0, 1] != pytest.approx(d.values[1, 0], rel=1e-3)
 
 
-def test_both_directions_symmetric_metric_transposes():
+@pytest.mark.parametrize("kind,alpha", [(k, a) for k, a, _ in KERNEL_CONFIGS if k != "alpha_z"])
+def test_both_directions_symmetric_metric_transposes(kind, alpha):
     rng = np.random.default_rng(1)
     s1 = spd_pool(rng, 4, 3)
     s2 = spd_pool(rng, 4, 3)
-    d12, d21 = both_directions(s1, s2, MetricSpec("log"))
-    np.testing.assert_allclose(d21.values, d12.values.T, rtol=1e-10)
+    d12, d21 = both_directions(s1, s2, MetricSpec(kind, alpha), ["a", "b", "c"], ["x", "y", "z"])
+    np.testing.assert_array_equal(d21.values, d12.values.T)
+    assert (d21.probe_labels, d21.gallery_labels) == (("x", "y", "z"), ("a", "b", "c"))
 
 
 def test_both_directions_alpha_z_not_transpose():
@@ -51,23 +65,22 @@ def test_both_directions_alpha_z_not_transpose():
     assert np.abs(d21.values - d12.values.T).max() > 1e-6
 
 
+@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
+def test_both_directions_d21_equals_reverse_sweep_bitwise(kind, alpha, z):
+    # a caller that sweeps set2 -> set1 itself gets D21's exact bytes
+    rng = np.random.default_rng(6)
+    s1 = spd_pool(rng, 5, 4, lo=1e-4, hi=1e4)
+    s2 = spd_pool(rng, 5, 3, lo=1e-4, hi=1e4)
+    spec = MetricSpec(kind, alpha, z)
+    d21 = both_directions(s1, s2, spec)[1]
+    np.testing.assert_array_equal(cross_distances(s2, s1, spec).values, d21.values)
+
+
 def test_both_directions_singleton_identical():
     a = [validate_spd(np.eye(3))]
     d12, d21 = both_directions(a, a, MetricSpec("ai"))
     assert d12.values[0, 0] == pytest.approx(0.0, abs=1e-10)
     assert d21.values[0, 0] == pytest.approx(0.0, abs=1e-10)
-
-
-KERNEL_CONFIGS = [
-    ("euclid", None, None),
-    ("pearson", None, None),
-    ("log", None, None),
-    ("ai", None, None),
-    ("bw", None, None),
-    ("alpha_pro", 0.3, None),
-    ("alpha_z", 0.99, 1.0),
-    ("alpha_z", 0.5, 0.8),
-]
 
 
 @pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
@@ -83,6 +96,33 @@ def test_worker_count_never_changes_bits(kind, alpha, z):
         gallery_w = [validate_spd(m.entries) for m in gallery]
         again = cross_distances(probe_w, gallery_w, spec, workers=w).values
         np.testing.assert_array_equal(again, baseline)
+
+
+@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
+def test_warm_up_fills_every_cache_before_the_pool(monkeypatch, kind, alpha, z):
+    from spdid import pairwise
+
+    rng = np.random.default_rng(7)
+    probe = spd_pool(rng, 5, 4)
+    gallery = spd_pool(rng, 5, 4)
+    snapshot = []
+
+    def cached(m):
+        """Keys of a matrix's cache, and of the caches of the powers cached on it."""
+        return sorted(
+            (repr(key), cached(v) if isinstance(v, SpdMatrix) else [])
+            for key, v in m._cache.items()
+        )
+
+    class Pool(pairwise.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            snapshot.extend(cached(m) for m in probe + gallery)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", Pool)
+    cross_distances(probe, gallery, MetricSpec(kind, alpha, z), workers=2)
+    # the pool threads only read: no cache gained an entry after they started
+    assert snapshot == [cached(m) for m in probe + gallery]
 
 
 @pytest.mark.parametrize("kind,alpha,z,shared", [
