@@ -87,14 +87,13 @@ class SpdMatrix:
     """A validated symmetric positive-definite matrix.
 
     The entries are immutable: the array is write-locked, and the trace and
-    the smallest eigenvalue found at validation time are stored with it. The
-    spectrum, the matrix powers and the logarithm are computed lazily by
-    :mod:`spdid.matfun` and cached in ``_cache``, whose layout only that
-    module knows. Construct through :func:`validate_spd` or
-    :func:`regularize` rather than directly.
+    the smallest eigenvalue found at validation time are stored with it.
+    Nothing is cached, so threads may share it; what a kernel derives from a
+    matrix is its ``prepare`` step's state (see :data:`spdid.metrics.KERNELS`).
+    Construct through :func:`validate_spd` or :func:`regularize`.
     """
 
-    __slots__ = ("entries", "min_eigenvalue", "trace", "_cache")
+    __slots__ = ("entries", "min_eigenvalue", "trace")
 
     def __init__(self, sym_entries: np.ndarray, min_eigenvalue: float):
         # sym_entries must already be exactly symmetric and PD-checked.
@@ -103,7 +102,6 @@ class SpdMatrix:
         self.entries = sym_entries
         self.min_eigenvalue = float(min_eigenvalue)
         self.trace = float(np.trace(sym_entries))
-        self._cache: dict = {}
 
     @property
     def n(self) -> int:

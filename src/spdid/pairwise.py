@@ -1,19 +1,16 @@
 """Labeled probe x gallery cross-distance matrices with row-parallel execution.
 
-Each cell is computed independently from the matrix entries and written to its
-preassigned slot, so the result is bitwise identical for any worker count.
-Row 0 and then column 0 are computed serially first: every gallery matrix
-meets the kernel once in row 0 and every probe matrix once in column 0.
-alpha_z reads a matrix's state only on its own side; every other kernel reads
-the same state of both arguments, whichever its canonical orientation puts
-first. Either way the spectra and matrix powers the kernel caches on each
-matrix are filled before any worker thread starts. The remaining rows go to
-the pool, one probe row per unit of work, and only read those caches.
+Every input matrix is prepared once, serially, before any pair runs: its
+kernel's ``prepare`` step (see :data:`spdid.metrics.KERNELS`) turns it into a
+state that is never written again. The pool then computes each cell from two
+states, one probe row per unit of work, and writes it to its preassigned
+slot, so the result is bitwise identical for any worker count.
 
 For a symmetric kernel :func:`both_directions` computes one direction and
 transposes it; the kernel's canonical orientation (see
-:meth:`spdid.metrics.MetricSpec.kernel`) makes that transpose bitwise equal
-to computing the other direction.
+:meth:`spdid.metrics.Kernel.swaps`) makes that transpose bitwise equal to
+computing the other direction. alpha_z is swept both ways over the same
+states, which hold both sides' powers.
 """
 
 from __future__ import annotations
@@ -38,20 +35,10 @@ class DistanceMatrix:
     metric: MetricSpec
 
 
-def cross_distances(
-    probe: Sequence[SpdMatrix],
-    gallery: Sequence[SpdMatrix],
-    spec: MetricSpec,
-    probe_labels: Sequence[str] | None = None,
-    gallery_labels: Sequence[str] | None = None,
-    workers: int = 1,
-) -> DistanceMatrix:
-    """Compute values[i][j] = dispatch(spec, probe[i], gallery[j]).
+def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):
+    """Check the inputs, then prepare every matrix once, probe side first.
 
-    Fails fast on the first kernel error, annotated with the offending
-    (row, column, probe label, gallery label). ``workers`` defaults to 1,
-    since each kernel call may already run multi-threaded BLAS; it never
-    affects the output values.
+    Returns (matrices, labels, states) per side. An error names its matrix.
     """
     if not probe or not gallery:
         raise InvalidParameter("probe and gallery lists must be non-empty")
@@ -65,41 +52,60 @@ def cross_distances(
         gallery_labels = [str(j) for j in range(len(gallery))]
     if len(probe_labels) != len(probe) or len(gallery_labels) != len(gallery):
         raise InvalidParameter("label lists must match the matrix lists in length")
-
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
 
-    kernel = spec.kernel()
-    values = np.empty((len(probe), len(gallery)))
-
-    def fill(i: int, columns: range) -> None:
-        for j in columns:
+    prepare, params = KERNELS[spec.kind].prepare, spec.params
+    sides = []
+    for side, mats, labels in (("probe", probe, probe_labels), ("gallery", gallery, gallery_labels)):
+        states = []
+        for i, m in enumerate(mats):
             try:
-                values[i, j] = kernel(probe[i], gallery[j])
+                states.append(prepare(m, **params))
+            except SpdError as exc:
+                raise type(exc)(f"{exc} [{side} {i} ({labels[i]})]") from exc
+        sides.append((mats, tuple(labels), states))
+    return sides
+
+
+def _sweep(spec: MetricSpec, probe, gallery, workers: int) -> DistanceMatrix:
+    """Every probe x gallery cell, one pool task per row. Fails fast on the first
+    kernel error in row order, annotated with its row, column and labels."""
+    (p_mats, p_labels, p_states), (g_mats, g_labels, g_states) = probe, gallery
+    record, params = KERNELS[spec.kind], spec.params
+    values = np.empty((len(p_mats), len(g_mats)))
+
+    def fill(i: int) -> None:
+        a, sa = p_mats[i], p_states[i]
+        for j, (b, sb) in enumerate(zip(g_mats, g_states)):
+            try:
+                x, y = (sb, sa) if record.swaps(a, b) else (sa, sb)
+                values[i, j] = record.pair(x, y, **params)
             except SpdError as exc:
                 raise type(exc)(
-                    f"{exc} [probe {i} ({probe_labels[i]}) vs gallery {j} "
-                    f"({gallery_labels[j]})]"
+                    f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"
                 ) from exc
 
-    # Row 0, then column 0, run serially: each matrix meets the kernel once on
-    # its own side, so its caches are filled before any worker thread reads them.
-    fill(0, range(len(gallery)))
-    for i in range(1, len(probe)):
-        fill(i, range(1))
-
-    def rest_of_row(i: int) -> None:
-        fill(i, range(1, len(gallery)))
-
-    if workers == 1:
-        for i in range(1, len(probe)):
-            rest_of_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(rest_of_row, range(1, len(probe))))
-
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, range(len(p_mats))))
     values.setflags(write=False)
-    return DistanceMatrix(tuple(probe_labels), tuple(gallery_labels), values, spec)
+    return DistanceMatrix(p_labels, g_labels, values, spec)
+
+
+def cross_distances(
+    probe: Sequence[SpdMatrix],
+    gallery: Sequence[SpdMatrix],
+    spec: MetricSpec,
+    probe_labels: Sequence[str] | None = None,
+    gallery_labels: Sequence[str] | None = None,
+    workers: int = 1,
+) -> DistanceMatrix:
+    """values[i][j] = dispatch(spec, probe[i], gallery[j]); an error names its matrix or cell.
+
+    ``workers`` defaults to 1, since each kernel call may already run
+    multi-threaded BLAS; it never affects the output values.
+    """
+    return _sweep(spec, *_prepare(probe, gallery, spec, probe_labels, gallery_labels, workers), workers)
 
 
 def both_directions(
@@ -110,15 +116,16 @@ def both_directions(
     labels2: Sequence[str] | None = None,
     workers: int = 1,
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
-    """(set1 -> set2, set2 -> set1) cross matrices.
+    """(set1 -> set2, set2 -> set1) cross matrices, each matrix prepared once.
 
     For a symmetric kernel the second is the transpose of the first, bit for
     bit equal to ``cross_distances(set2, set1, ...)``. The alpha_z divergence
     is asymmetric, so it is computed in both directions.
     """
-    d12 = cross_distances(set1, set2, spec, labels1, labels2, workers)
+    side1, side2 = _prepare(set1, set2, spec, labels1, labels2, workers)
+    d12 = _sweep(spec, side1, side2, workers)
     if KERNELS[spec.kind].symmetric:
         d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
     else:
-        d21 = cross_distances(set2, set1, spec, labels2, labels1, workers)
+        d21 = _sweep(spec, side2, side1, workers)
     return d12, d21

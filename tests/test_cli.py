@@ -236,6 +236,32 @@ class TestRun:
             "D12.csv", "D21.csv", "report.json",
         ]
 
+    def test_prepare_failure_fails_only_its_combination(self, tmp_path, capsys, monkeypatch):
+        # s003's RL matrix at res 5 validates, then its eigh fails in prepare
+        write_cohort(tmp_path / "data", res=8)
+        write_cohort(tmp_path / "data", res=5)
+        target = np.loadtxt(tmp_path / "data" / "s003" / "REST_RL_5.txt")
+        eigh = np.linalg.eigh
+
+        def fails_on_target(m):
+            if m.shape == target.shape and np.array_equal(m, target):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_on_target)
+        out = tmp_path / "out"
+        argv = base_argv(tmp_path / "data", out, extra=["--resolutions", "5", "8"])
+        assert run(parse_args(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            "error: REST/5: NumericalError: eigensolver did not converge: "
+            "Eigenvalues did not converge [gallery 2 (s003)]"
+        )
+        assert not (out / "REST_5").exists()
+        assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
+            "D12.csv", "D21.csv", "report.json",
+        ]
+
     def test_unwritable_combination_fails_only_itself(self, tmp_path, capsys):
         write_cohort(tmp_path / "data", task="REST")
         write_cohort(tmp_path / "data", task="EMOTION")

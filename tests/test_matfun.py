@@ -106,11 +106,18 @@ def test_outputs_exactly_symmetric():
         np.testing.assert_array_equal(m, m.T)
 
 
-def test_power_cache_returns_same_object():
+def test_repeated_calls_give_the_same_bits():
+    # nothing is cached, so a kernel's states are recomputed per sweep and
+    # dispatch call; recomputing must reproduce every bit
     rng = np.random.default_rng(12)
     a = random_spd(rng, 6)
-    assert sym_pow(a, 0.5) is sym_pow(a, 0.5)
-    assert eig_sym(a) is eig_sym(a)
+    first, again = sym_pow(a, 0.5), sym_pow(a, 0.5)
+    assert first is not again
+    assert first.entries.tobytes() == again.entries.tobytes()
+    assert first.min_eigenvalue == again.min_eigenvalue
+    for x, y in zip(eig_sym(a), eig_sym(a)):
+        assert x.tobytes() == y.tobytes()
+    assert sym_log(a).tobytes() == sym_log(a).tobytes()
 
 
 def _fix_signs_loop(vectors):

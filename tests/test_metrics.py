@@ -1,9 +1,9 @@
+import functools
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdid import (
@@ -351,12 +351,12 @@ class TestAlphaZTraceForm:
             closest = [m.closest_gallery_label for m in nearest_match_table(d)]
             assert closest == [m.closest_gallery_label for m in nearest_match_table(r)]
 
-    def test_non_positive_trace_term_rejected(self, monkeypatch):
-        a = spd(np.eye(2))
-        bad = SimpleNamespace(entries=np.full((2, 2), np.nan))
-        monkeypatch.setattr(metrics, "sym_pow", lambda m, p: bad)
-        with pytest.raises(NumericalError):
-            alpha_z_bw(a, a, 0.99, 1.0)
+    def test_non_positive_trace_term_rejected(self):
+        record = metrics.KERNELS["alpha_z"]
+        trace, *powers = record.prepare(spd(np.eye(2)), alpha=0.99, z=1.0)
+        bad = (trace, *(np.full_like(p, np.nan) for p in powers))
+        with pytest.raises(NumericalError, match="trace term"):
+            record.pair(bad, bad, alpha=0.99, z=1.0)
 
 
 def _no_convergence(m):
@@ -382,7 +382,7 @@ class TestLinAlgErrorWrapped:
 
     @pytest.fixture
     def pair_then_failing_eigh(self, monkeypatch):
-        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated, no spectrum cached yet
+        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
         monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
         return pair
 
@@ -425,16 +425,16 @@ SYMMETRIC_SPECS = [
 ]
 
 
-def _outcome(kernel, a, b):
-    """The kernel's value as exact hex, or the type and text of the error it raises."""
+def _outcome(spec, a, b):
+    """dispatch's value as exact hex, or the type and text of the error it raises."""
     try:
-        return kernel(a, b).hex()
+        return dispatch(spec, a, b).hex()
     except NumericalError as exc:
         return type(exc), str(exc)
 
 
 class TestCanonicalOrientation:
-    """MetricSpec.kernel() gives the same bits for (a, b) and (b, a)."""
+    """dispatch gives the same bits for (a, b) and (b, a)."""
 
     def test_symmetric_flag(self):
         assert [k for k, rec in metrics.KERNELS.items() if not rec.symmetric] == ["alpha_z"]
@@ -454,9 +454,7 @@ class TestCanonicalOrientation:
         a = _spd_with_condition(rng, n, log_cond, log_scale)
         b = _spd_with_condition(rng, n, log_cond, log_scale)
         for spec in SYMMETRIC_SPECS:
-            k = spec.kernel()
-            ab, ba = _outcome(k, a, b), _outcome(k, b, a)
-            assert ab == ba, spec.kind
+            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
 
     def test_equal_traces_ordered_by_entries(self):
         # both traces are exactly 15, so the entries' bytes decide the order
@@ -464,8 +462,61 @@ class TestCanonicalOrientation:
         b = spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]])
         assert a.trace == b.trace
         for spec in SYMMETRIC_SPECS:
-            k = spec.kernel()
-            assert _outcome(k, a, b) == _outcome(k, b, a), spec.kind
+            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
+
+
+def _cases(specs, kind, raises, reason):
+    """One parameter per spec; ``kind``'s is an expected failure: a program defect at
+    high condition numbers (see CHANGES.md), shown by the explicit example. Not
+    strict: round-off at that example may differ on another BLAS."""
+    xfail = pytest.mark.xfail(raises=raises, strict=False, reason=reason)
+    return [
+        pytest.param(s, id=f"{s.kind}-{s.alpha}-{s.z}", marks=[xfail] if s.kind == kind else [])
+        for s in specs
+    ]
+
+
+IDENTITY_CASES = _cases(
+    SYMMETRIC_SPECS + [MetricSpec("alpha_z", 0.99, 1.0), MetricSpec("alpha_z", 0.5, 0.8)],
+    "bw", AssertionError, "bw(a, a) exceeds 1e-8 (1 + tr A) from about condition number 1e8",
+)
+TRIANGLE_CASES = _cases(
+    [s for s in SYMMETRIC_SPECS if s.kind != "pearson"],
+    "ai", NumericalError, "ai rejects pairs whose whitened product round-off makes indefinite",
+)
+
+
+class TestAxiomsThroughDispatch:
+    """Identity and the triangle inequality at condition numbers up to 1e12,
+    with the fixed-seed tests' tolerances (TestSharedProperties)."""
+
+    @pytest.mark.parametrize("spec", IDENTITY_CASES)
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=3, log_cond=11.0, log_scale=0.0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        log_cond=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_identity(self, spec, seed, n, log_cond, log_scale):
+        a = _spd_with_condition(np.random.default_rng(seed), n, log_cond, log_scale)
+        assert dispatch(spec, a, a) <= 1e-8 * (1 + a.trace)
+
+    @pytest.mark.parametrize("spec", TRIANGLE_CASES)
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=2, log_cond=9.0, log_scale=0.0)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        log_cond=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_triangle_inequality(self, spec, seed, n, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        a, b, c = (_spd_with_condition(rng, n, log_cond, log_scale) for _ in "abc")
+        d = functools.partial(dispatch, spec)
+        assert d(a, c) <= d(a, b) + d(b, c) + 1e-8 * (1 + a.trace + b.trace + c.trace)
 
 
 class TestDispatch:
@@ -565,10 +616,12 @@ class TestSharedProperties:
     def test_alpha_z_nonnegative_in_guaranteed_region(self):
         from spdid.metrics import _alpha_z_raw
 
+        prepare = metrics.KERNELS["alpha_z"].prepare
         rng = np.random.default_rng(45)
         for alpha in (0.25, 0.5, 0.75, 0.99):
             z_lo = max(alpha, 1 - alpha)
             for z in (z_lo, (z_lo + 1) / 2, 1.0):
                 for _ in range(5):
-                    a, b = random_spd(rng, 5), random_spd(rng, 5)
-                    assert _alpha_z_raw(a, b, alpha, z) >= -1e-10
+                    sa, sb = (prepare(random_spd(rng, 5), alpha=alpha, z=z) for _ in "ab")
+                    # the pair's value before round-off negatives are clamped
+                    assert _alpha_z_raw(sa, sb, alpha, z) >= -1e-10

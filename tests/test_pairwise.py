@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spdid import MetricSpec, SpdMatrix, both_directions, cross_distances, validate_spd
-from spdid.core import DimensionMismatch, InvalidParameter, NumericalError
+from spdid import MetricSpec, both_directions, cross_distances, validate_spd
+from spdid.core import DegenerateVariance, DimensionMismatch, InvalidParameter, NumericalError
 from support import spd_pool
 
 
@@ -91,38 +91,41 @@ def test_worker_count_never_changes_bits(kind, alpha, z):
     spec = MetricSpec(kind, alpha, z)
     baseline = cross_distances(probe, gallery, spec, workers=1).values
     for w in (2, 8):
-        # fresh matrices so cached spectra from the serial run cannot leak in
-        probe_w = [validate_spd(m.entries) for m in probe]
-        gallery_w = [validate_spd(m.entries) for m in gallery]
-        again = cross_distances(probe_w, gallery_w, spec, workers=w).values
+        again = cross_distances(probe, gallery, spec, workers=w).values
         np.testing.assert_array_equal(again, baseline)
 
 
 @pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
-def test_warm_up_fills_every_cache_before_the_pool(monkeypatch, kind, alpha, z):
-    from spdid import pairwise
+def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
+    from spdid import metrics, pairwise
 
     rng = np.random.default_rng(7)
-    probe = spd_pool(rng, 5, 4)
-    gallery = spd_pool(rng, 5, 4)
-    snapshot = []
+    set1 = spd_pool(rng, 5, 4)
+    set2 = spd_pool(rng, 5, 4)
+    spec = MetricSpec(kind, alpha, z)
+    expected = both_directions(set1, set2, spec)
+    events = []
+    record = metrics.KERNELS[kind]
 
-    def cached(m):
-        """Keys of a matrix's cache, and of the caches of the powers cached on it."""
-        return sorted(
-            (repr(key), cached(v) if isinstance(v, SpdMatrix) else [])
-            for key, v in m._cache.items()
-        )
+    def prepare(m, **params):
+        events.append(id(m))
+        return record.prepare(m, **params)
 
     class Pool(pairwise.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
-            snapshot.extend(cached(m) for m in probe + gallery)
+            events.append("pool")
             super().__init__(*args, **kwargs)
 
+    monkeypatch.setitem(metrics.KERNELS, kind, record._replace(prepare=prepare))
     monkeypatch.setattr(pairwise, "ThreadPoolExecutor", Pool)
-    cross_distances(probe, gallery, MetricSpec(kind, alpha, z), workers=2)
-    # the pool threads only read: no cache gained an entry after they started
-    assert snapshot == [cached(m) for m in probe + gallery]
+    got = both_directions(set1, set2, spec, workers=2)
+    # every matrix is prepared exactly once, all before the first pool is
+    # built, so the pool threads only read states; alpha_z sweeps twice
+    first = events.index("pool")
+    assert sorted(events[:first]) == sorted(id(m) for m in set1 + set2)
+    assert events[first:] == ["pool"] * (1 if record.symmetric else 2)
+    for d, e in zip(got, expected):
+        np.testing.assert_array_equal(d.values, e.values)
 
 
 @pytest.mark.parametrize("kind,alpha,z,shared", [
@@ -134,7 +137,7 @@ def test_spectrum_reuse_matches_cold_computation(kind, alpha, z, shared):
 
     rng = np.random.default_rng(4)
     if shared:
-        # one list on both sides: each matrix fills probe- and gallery-side caches
+        # one list on both sides: each matrix is prepared for both sides
         probe = gallery = spd_pool(rng, 5, 8)
     else:
         probe = spd_pool(rng, 5, 3)
@@ -181,10 +184,29 @@ def test_empty_lists_rejected():
 
 
 def test_kernel_error_annotated_with_position():
+    # constant triangles: each state prepares, the pair then fails
     mats = [validate_spd(2 * np.eye(3)), validate_spd(np.eye(3) + 0.1)]
-    with pytest.raises(Exception) as err:
+    with pytest.raises(DegenerateVariance) as err:
         cross_distances(mats, mats, MetricSpec("pearson"), ["p0", "p1"], ["g0", "g1"])
-    assert "p0" in str(err.value) and "g0" in str(err.value)
+    assert str(err.value).endswith(" [probe 0 (p0) vs gallery 0 (g0)]")
+
+
+@pytest.mark.parametrize("kind,alpha,z", [c for c in KERNEL_CONFIGS if c[0] not in ("euclid", "pearson")])
+def test_prepare_error_names_its_matrix(monkeypatch, kind, alpha, z):
+    rng = np.random.default_rng(8)
+    set1 = spd_pool(rng, 4, 3)
+    set2 = spd_pool(rng, 4, 3)
+    eigh = np.linalg.eigh
+
+    def fails_on_set2_2(m):
+        if np.array_equal(m, set2[2].entries):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails_on_set2_2)
+    with pytest.raises(NumericalError) as err:
+        both_directions(set1, set2, MetricSpec(kind, alpha, z), ["s1", "s2", "s3"], ["s001", "s002", "s003"])
+    assert str(err.value) == "eigensolver did not converge: Eigenvalues did not converge [gallery 2 (s003)]"
 
 
 def test_labels_default_to_indices():
