@@ -2,19 +2,22 @@
 
 For every (task, resolution) combination the tool discovers subjects for both
 scan directions, intersects the subject sets, loads and regularizes the
-matrices, computes the two cross-distance matrices, and writes D12.csv,
-D21.csv, report.json, and optionally heatmap.png into
-{out_dir}/{task}_{res}/. A summary table goes to stdout. Exit codes: 0 full
-success, 1 if any combination failed (the rest still run), 2 usage error. A
-combination fails on any SpdError and on any OSError, such as an output
-directory that cannot be created or written.
+matrices (in worker processes when ``--workers`` is above 1), computes the
+two cross-distance matrices, and writes D12.csv, D21.csv, report.json, and
+optionally heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
+to stdout. Exit codes: 0 full success, 1 if any combination failed (the rest
+still run), 2 usage error. A combination fails on any SpdError and on any
+OSError, such as an output directory that cannot be created or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from .core import InvalidParameter, SpdError, UnknownMetric, check_tau
@@ -23,6 +26,18 @@ from .heatmap import save_heatmap
 from .identification import id_report, nearest_match_table
 from .metrics import KERNELS, MetricSpec
 from .pairwise import DistanceMatrix, both_directions
+
+# Environment variables that size BLAS/OpenMP thread pools. Worker processes
+# start with each set to 1, so `--workers` processes use `--workers` CPUs
+# instead of each starting one BLAS thread per CPU.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -97,7 +112,49 @@ def _misidentified(d: DistanceMatrix) -> list[dict]:
     return out
 
 
-def _run_combination(config: argparse.Namespace, task: str, res: int) -> dict:
+@contextmanager
+def _one_blas_thread():
+    """Set every BLAS thread variable to 1, then restore ``os.environ`` exactly."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+@contextmanager
+def _file_map(workers: int):
+    """Yield the ordered ``map`` that loads a combination's matrix files.
+
+    With one worker it is the builtin ``map``. With more it is the ``map`` of
+    one pool of that many spawned processes, each with one BLAS thread; its
+    results come back in input order, so the first failure raised is the
+    one a serial loop would raise.
+    """
+    if workers == 1:
+        yield map
+        return
+    # Imported here: at module level they would lengthen every start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+
+        def pool_map(fn, items):
+            # The pool spawns its processes inside map's submissions, and a
+            # spawned process reads the thread variables once, at start-up.
+            with _one_blas_thread():
+                return pool.map(fn, items)
+
+        yield pool_map
+
+
+def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) -> dict:
     by_scan = []
     for scan in config.scan_types:
         recs = find_subject_paths(
@@ -116,9 +173,9 @@ def _run_combination(config: argparse.Namespace, task: str, res: int) -> dict:
             file=sys.stderr,
         )
 
-    mats1, mats2 = (
-        [load_matrix(by_id[s], config.tau, expected_n=res) for s in common] for by_id in by_scan
-    )
+    paths = [by_id[s] for by_id in by_scan for s in common]
+    mats = list(file_map(partial(load_matrix, tau=config.tau, expected_n=res), paths))
+    mats1, mats2 = mats[: len(common)], mats[len(common) :]
     d12, d21 = both_directions(
         mats1, mats2, config.metric, common, common, workers=config.workers
     )
@@ -154,13 +211,14 @@ def _run_combination(config: argparse.Namespace, task: str, res: int) -> dict:
 def run(config: argparse.Namespace) -> int:
     results = []
     failures = []
-    for task in config.tasks:
-        for res in config.resolutions:
-            try:
-                results.append(_run_combination(config, task, res))
-            except (SpdError, OSError) as exc:
-                failures.append((task, res, exc))
-                print(f"error: {task}/{res}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    with _file_map(config.workers) as file_map:
+        for task in config.tasks:
+            for res in config.resolutions:
+                try:
+                    results.append(_run_combination(config, task, res, file_map))
+                except (SpdError, OSError) as exc:
+                    failures.append((task, res, exc))
+                    print(f"error: {task}/{res}: {type(exc).__name__}: {exc}", file=sys.stderr)
 
     if results:
         print(f"{'task':<12} {'res':>5} {'n':>4}  ID_Rate")

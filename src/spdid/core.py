@@ -103,6 +103,10 @@ class SpdMatrix:
         self.min_eigenvalue = float(min_eigenvalue)
         self.trace = float(np.trace(sym_entries))
 
+    def __reduce__(self):
+        # Rebuild through __init__, so an unpickled copy is write-locked too.
+        return SpdMatrix, (self.entries, self.min_eigenvalue)
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]

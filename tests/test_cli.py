@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import spdid
 from spdid import MetricSpec, generate_synthetic_cohort, metrics, save_matrix
-from spdid.cli import parse_args, run, write_distance_csv
+from spdid.cli import BLAS_THREAD_VARS, _file_map, parse_args, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
 from support import read_distance_csv
 
@@ -235,6 +236,46 @@ class TestRun:
         assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
             "D12.csv", "D21.csv", "report.json",
         ]
+
+    def test_pool_raises_the_serial_first_error(self, tmp_path, capsys):
+        # Serial order is every scan-1 file, then every scan-2 file, so the
+        # bad LR file of s004 fails first although s002's RL file is earlier.
+        write_cohort(tmp_path / "data", res=8)
+        write_cohort(tmp_path / "data", res=5)
+        (tmp_path / "data" / "s004" / "REST_LR_5.txt").write_text("1 2 x\n")
+        save_matrix(tmp_path / "data" / "s002" / "REST_RL_5.txt", np.diag([np.nan, 1, 1, 1, 1]))
+        errors = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"out{workers}"
+            argv = base_argv(
+                tmp_path / "data", out, extra=["--resolutions", "5", "8", "--workers", workers]
+            )
+            assert run(parse_args(argv)) == 1
+            errors[workers] = capsys.readouterr().err
+            assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
+                "D12.csv", "D21.csv", "report.json",
+            ]
+        assert errors["1"] == errors["2"]
+        first = errors["1"].splitlines()[0]
+        assert first.startswith("error: REST/5: ParseError: ") and "s004" in first
+        assert "non-numeric token 'x' at line 1, field 3" in first
+
+    def test_pool_leaves_no_trace(self, tmp_path, monkeypatch):
+        write_cohort(tmp_path / "data")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        argv = base_argv(tmp_path / "data", tmp_path / "out", extra=["--workers", "2"])
+        assert run(parse_args(argv)) == 0
+        assert dict(os.environ) == before
+        assert multiprocessing.active_children() == []
+
+    def test_pool_processes_start_with_one_blas_thread(self, monkeypatch):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        with _file_map(2) as file_map:
+            seen = list(file_map(os.getenv, BLAS_THREAD_VARS))
+        assert seen == ["1"] * len(BLAS_THREAD_VARS)
 
     def test_prepare_failure_fails_only_its_combination(self, tmp_path, capsys, monkeypatch):
         # s003's RL matrix at res 5 validates, then its eigh fails in prepare

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ class TestRegularize:
         # finite entries whose half-sum overflows off the diagonal
         with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 1\)"):
             regularize([[1.0, 1.5e308], [1.5e308, 1.0]], 0.0)
+
+
+def test_pickle_round_trip_keeps_matrix_immutable():
+    # worker processes send their matrices back pickled
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((6, 6))
+    for m in (regularize(2 * np.eye(3), 0.0), regularize(g @ g.T, 1e-3)):
+        copy = pickle.loads(pickle.dumps(m))
+        assert not copy.entries.flags.writeable
+        np.testing.assert_array_equal(copy.entries, m.entries)
+        for name in ("trace", "min_eigenvalue"):
+            assert np.float64(getattr(copy, name)).tobytes() == np.float64(getattr(m, name)).tobytes()
 
 
 class TestValidateSpd:
