@@ -7,7 +7,9 @@ two cross-distance matrices, and writes D12.csv, D21.csv, report.json, and
 optionally heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
 to stdout. Exit codes: 0 full success, 1 if any combination failed (the rest
 still run), 2 usage error. A combination fails on any SpdError and on any
-OSError, such as an output directory that cannot be created or written.
+OSError, such as an output directory that cannot be created or written. A
+loading process that dies stops the run: it exits 1 with one last ``error:``
+line, and the combinations already written stay.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -157,12 +160,13 @@ def _file_map(workers: int):
 def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) -> dict:
     by_scan = []
     for scan in config.scan_types:
+        # Every subject is discovered: --num-subjects counts those with both scans.
         recs = find_subject_paths(
-            config.base_path, task, scan, [res], config.num_subjects, config.path_template
+            config.base_path, task, scan, [res], sys.maxsize, config.path_template
         )
         by_scan.append({r.subject_id: r.path for r in recs})
     ids1, ids2 = (set(by_id) for by_id in by_scan)
-    common = sorted(ids1 & ids2)
+    common = sorted(ids1 & ids2)[: config.num_subjects]
     if not common:
         raise SpdError(f"no subjects present in both scan types for {task}/{res}")
     dropped = ids1 ^ ids2
@@ -211,14 +215,19 @@ def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) 
 def run(config: argparse.Namespace) -> int:
     results = []
     failures = []
-    with _file_map(config.workers) as file_map:
-        for task in config.tasks:
-            for res in config.resolutions:
-                try:
-                    results.append(_run_combination(config, task, res, file_map))
-                except (SpdError, OSError) as exc:
-                    failures.append((task, res, exc))
-                    print(f"error: {task}/{res}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    broken = None
+    try:
+        with _file_map(config.workers) as file_map:
+            for task in config.tasks:
+                for res in config.resolutions:
+                    try:
+                        results.append(_run_combination(config, task, res, file_map))
+                    except (SpdError, OSError) as exc:
+                        failures.append((task, res, exc))
+                        print(f"error: {task}/{res}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except BrokenExecutor as exc:
+        # A loading process died, and the pool cannot load any later combination.
+        broken = exc
 
     if results:
         print(f"{'task':<12} {'res':>5} {'n':>4}  ID_Rate")
@@ -226,8 +235,14 @@ def run(config: argparse.Namespace) -> int:
             print(f"{r['task']:<12} {r['res']:>5} {r['n']:>4}  {r['mean']:.3f}")
     if failures:
         print(f"{len(failures)} combination(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    if broken:
+        print(
+            f"error: {type(broken).__name__}: {broken} Run stopped. A script that calls "
+            'spdid.cli with --workers above 1 needs an `if __name__ == "__main__":` guard, '
+            "because each loading process imports the main module.",
+            file=sys.stderr,
+        )
+    return 1 if failures or broken else 0
 
 
 def main(argv=None) -> None:

@@ -27,9 +27,9 @@ would cancel (see :func:`bures_wasserstein`).
 
 Each :data:`KERNELS` entry splits its kernel into a per-matrix ``prepare``
 step and a ``pair`` step, and records whether it is symmetric: all but alpha_z.
-:func:`dispatch` and the sweep evaluate a symmetric kernel in one canonical
-orientation (see :meth:`Kernel.swaps`), so k(a, b) and k(b, a) are the same
-bits and a sweep may transpose one direction into the other.
+Every entry point evaluates a pair through :meth:`Kernel.evaluate`, which
+takes a symmetric kernel in one canonical orientation, so k(a, b) and k(b, a)
+are the same bits and a sweep may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, an O(n^2)
@@ -75,21 +75,13 @@ def _clamp_negative(value: float, scale: float) -> float:
     return 0.0
 
 
-def _apply(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
-    """pair(prepare(a), prepare(b)) for the kernel of ``spec``, in the order given."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
-    record, params = KERNELS[spec.kind], spec.params
-    return record.pair(record.prepare(a, **params), record.prepare(b, **params), **params)
-
-
 def _frobenius(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(x - y))
 
 
 def euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     """Frobenius (entrywise Euclidean) distance."""
-    return _apply(MetricSpec("euclid"), a, b)
+    return dispatch(MetricSpec("euclid"), a, b)
 
 
 def _triangle(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float]:
@@ -121,7 +113,7 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     The diagonal is excluded (self-connections carry no information). Range
     [0, 2]; requires order >= 3 so the triangles have at least two entries.
     """
-    return _apply(MetricSpec("pearson"), a, b)
+    return dispatch(MetricSpec("pearson"), a, b)
 
 
 def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -131,7 +123,7 @@ def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
 
 def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     """Frobenius distance between matrix logarithms."""
-    return _apply(MetricSpec("log"), a, b)
+    return dispatch(MetricSpec("log"), a, b)
 
 
 def _ai_pair(sa: tuple, sb: tuple) -> float:
@@ -147,7 +139,7 @@ def _ai_pair(sa: tuple, sb: tuple) -> float:
 
 def affine_invariant(a: SpdMatrix, b: SpdMatrix) -> float:
     """Geodesic distance under the affine-invariant Riemannian metric."""
-    return _apply(MetricSpec("ai"), a, b)
+    return dispatch(MetricSpec("ai"), a, b)
 
 
 # bw's trace form is trusted while d^2 >= _BW_TRACE_FLOOR * (tr A + tr B);
@@ -183,10 +175,10 @@ def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     catastrophically near A = B, so when d^2 < _BW_TRACE_FLOOR * (tr A + tr B)
     the distance is recomputed in the equivalent Procrustes form
     ||A^{1/2} - B^{1/2} U||_F, with U the polar factor of B^{1/2} A^{1/2}:
-    the norm of a difference does not cancel. Swapping A and B can change
-    the last bits; :func:`dispatch` fixes the orientation.
+    the norm of a difference does not cancel. Swapping A and B gives the
+    same bits: :meth:`Kernel.evaluate` takes the smaller trace as A.
     """
-    return _apply(MetricSpec("bw"), a, b)
+    return dispatch(MetricSpec("bw"), a, b)
 
 
 def _alpha_pro_prepare(a: SpdMatrix, alpha: float) -> tuple[SpdMatrix, np.ndarray]:
@@ -206,7 +198,7 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
     Interpolates between twice the Bures-Wasserstein distance (alpha = 1/2)
     and the log-Euclidean distance (alpha -> 0).
     """
-    return _apply(MetricSpec("alpha_pro", alpha=alpha), a, b)
+    return dispatch(MetricSpec("alpha_pro", alpha=alpha), a, b)
 
 
 def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -257,7 +249,7 @@ def alpha_z_bw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
     eigenvalues of the inner product. Nonnegativity is guaranteed for
     z >= max(alpha, 1-alpha); outside that region a warning is emitted.
     """
-    return _apply(MetricSpec("alpha_z", alpha, z), a, b)
+    return dispatch(MetricSpec("alpha_z", alpha, z), a, b)
 
 
 class Kernel(NamedTuple):
@@ -268,13 +260,15 @@ class Kernel(NamedTuple):
     # pair(a, b) == pair(b, a) mathematically: the sweep computes one direction
     symmetric: bool
 
-    def swaps(self, a: SpdMatrix, b: SpdMatrix) -> bool:
-        """Whether (a, b) is evaluated as pair(b, a): a symmetric kernel takes the smaller
-        trace first, ties broken by the entries' bytes, so both give the same bits."""
-        return self.symmetric and (
+    def evaluate(self, a: SpdMatrix, sa: Any, b: SpdMatrix, sb: Any, params: dict) -> float:
+        """pair on a's and b's states. A symmetric kernel takes the smaller trace first,
+        ties broken by the entries' bytes, so (a, b) and (b, a) give the same bits."""
+        if self.symmetric and (
             b.trace < a.trace
             or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
-        )
+        ):
+            sa, sb = sb, sa
+        return self.pair(sa, sb, **params)
 
 
 # The one definition of each kernel's name, steps and parameters: MetricSpec
@@ -316,7 +310,8 @@ class MetricSpec:
 
 
 def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
-    """Evaluate the kernel selected by ``spec`` on (a, b), oriented by :meth:`Kernel.swaps`."""
-    if KERNELS[spec.kind].swaps(a, b):
-        a, b = b, a
-    return _apply(spec, a, b)
+    """The kernel of ``spec`` on (a, b), each prepared afresh, via :meth:`Kernel.evaluate`."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
+    record, params = KERNELS[spec.kind], spec.params
+    return record.evaluate(a, record.prepare(a, **params), b, record.prepare(b, **params), params)

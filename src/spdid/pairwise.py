@@ -6,11 +6,11 @@ state that is never written again. The pool then computes each cell from two
 states, one probe row per unit of work, and writes it to its preassigned
 slot, so the result is bitwise identical for any worker count.
 
-For a symmetric kernel :func:`both_directions` computes one direction and
-transposes it; the kernel's canonical orientation (see
-:meth:`spdid.metrics.Kernel.swaps`) makes that transpose bitwise equal to
-computing the other direction. alpha_z is swept both ways over the same
-states, which hold both sides' powers.
+Each cell is one :meth:`spdid.metrics.Kernel.evaluate` call, bit for bit what
+``dispatch`` gives. For a symmetric kernel :func:`both_directions` computes one
+direction and transposes it; the kernel's canonical orientation makes that
+transpose bitwise equal to computing the other direction. alpha_z is swept
+both ways over the same states, which hold both sides' powers.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ def _sweep(spec: MetricSpec, probe, gallery, workers: int) -> DistanceMatrix:
         a, sa = p_mats[i], p_states[i]
         for j, (b, sb) in enumerate(zip(g_mats, g_states)):
             try:
-                x, y = (sb, sa) if record.swaps(a, b) else (sa, sb)
-                values[i, j] = record.pair(x, y, **params)
+                values[i, j] = record.evaluate(a, sa, b, sb, params)
             except SpdError as exc:
                 raise type(exc)(
                     f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"

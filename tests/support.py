@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: random SPD generators, oracles, CSV reader."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 
-from spdid import DistanceMatrix, MetricSpec, SpdMatrix, validate_spd
+from spdid import DistanceMatrix, MetricSpec, SpdMatrix, load_matrix, validate_spd
 
 
 def random_orthogonal(rng, n):
@@ -21,6 +22,16 @@ def random_spd(rng, n, lo=1e-2, hi=1e2) -> SpdMatrix:
 
 def spd_pool(rng, n, count, lo=1e-2, hi=1e2):
     return [random_spd(rng, n, lo, hi) for _ in range(count)]
+
+
+def load_or_exit(path, **kwargs) -> SpdMatrix:
+    """``load_matrix``, except that the process exits at once on a ``*_5.txt`` path.
+
+    Module-level, so a spawned loading process can unpickle it by name.
+    """
+    if str(path).endswith("_5.txt"):
+        os._exit(3)
+    return load_matrix(path, **kwargs)
 
 
 def read_distance_csv(path, metric: MetricSpec) -> DistanceMatrix:

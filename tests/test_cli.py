@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 
 import spdid
-from spdid import MetricSpec, generate_synthetic_cohort, metrics, save_matrix
+from spdid import MetricSpec, cli, generate_synthetic_cohort, metrics, save_matrix
 from spdid.cli import BLAS_THREAD_VARS, _file_map, parse_args, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
-from support import read_distance_csv
+from support import load_or_exit, read_distance_csv
 
 
 def write_cohort(
@@ -358,6 +360,36 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "REST_8" / "report.json").read_text())
         assert "s999" not in report["subjects"]
 
+    def test_num_subjects_counts_subjects_with_both_scans(self, tmp_path, capsys):
+        write_cohort(tmp_path / "data", n_subjects=10)
+        (tmp_path / "data" / "s001" / "REST_RL_8.txt").unlink()
+        assert run(parse_args(base_argv(tmp_path / "data", tmp_path / "out", n=5))) == 0
+        report = json.loads((tmp_path / "out" / "REST_8" / "report.json").read_text())
+        assert report["subjects"] == ["s002", "s003", "s004", "s005", "s006"]
+        assert capsys.readouterr().err == (
+            "warning: REST/8: dropping subjects missing one scan: s001\n"
+        )
+
+    def test_dead_loading_process_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        # A loading process exits while loading res 5, after res 8 is written:
+        # res 6 never runs, and res 8's outputs stay.
+        for res in (8, 5, 6):
+            write_cohort(tmp_path / "data", res=res)
+        monkeypatch.setattr(cli, "load_matrix", load_or_exit)
+        out = tmp_path / "out"
+        argv = base_argv(tmp_path / "data", out, extra=["--resolutions", "8", "5", "6", "--workers", "2"])
+        assert run(parse_args(argv)) == 1
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("error: BrokenProcessPool: ")
+        assert '--workers above 1 needs an `if __name__ == "__main__":` guard' in last
+        assert captured.out.splitlines()[1:] == ["REST             8    6  1.000"]
+        assert [d.name for d in out.iterdir()] == ["REST_8"]
+        assert sorted(f.name for f in (out / "REST_8").iterdir()) == [
+            "D12.csv", "D21.csv", "report.json",
+        ]
+        assert multiprocessing.active_children() == []
+
     def test_pearson_confound_scores_below_alpha_z(self, tmp_path):
         write_cohort(tmp_path / "data", n_subjects=8, confound=True)
         means = {}
@@ -373,6 +405,26 @@ def child_env(**extra):
     src = str(Path(spdid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """The README's python blocks run as written and print what it says they
+    print; its demo command, run as ``python -m spdid``, scores 1.000."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.0\nTrue\n"
+    demo = next(b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "demo_data" in b)
+    argv = shlex.split(demo.replace("\\\n", " "))
+    assert argv[0] == "spd-id"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdid", *argv[1:]],
+        env=child_env(), cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == ["REST           100   30  1.000"]
+    assert (tmp_path / "demo_out" / "REST_100" / "heatmap.png").is_file()
 
 
 @pytest.mark.parametrize("module", ["spdid", "spdid.cli"])

@@ -14,6 +14,7 @@ from spdid import (
     alpha_z_bw,
     both_directions,
     bures_wasserstein,
+    cross_distances,
     dispatch,
     eig_sym,
     euclid,
@@ -423,6 +424,29 @@ SYMMETRIC_SPECS = [
     MetricSpec("bw"),
     MetricSpec("alpha_pro", alpha=0.3),
 ]
+ALL_SPECS = SYMMETRIC_SPECS + [MetricSpec("alpha_z", 0.99, 1.0), MetricSpec("alpha_z", 0.5, 0.8)]
+
+PUBLIC_KERNELS = {
+    "euclid": euclid,
+    "pearson": pearson_dist,
+    "log": log_euclid,
+    "ai": affine_invariant,
+    "bw": bures_wasserstein,
+    "alpha_pro": alpha_procrustes,
+    "alpha_z": alpha_z_bw,
+}
+
+
+# both traces are exactly 15, so the entries' bytes decide the order
+EQUAL_TRACES = (spd([[4, 1, 0], [1, 5, 2], [0, 2, 6]]), spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]]))
+
+
+def _contract_pairs():
+    """Random n=12 pairs, one with the smaller trace second, and an equal-trace pair."""
+    rng = np.random.default_rng(12)
+    pairs = [(random_spd(rng, 12), random_spd(rng, 12)) for _ in range(6)]
+    pairs.append(max(pairs[0], pairs[0][::-1], key=lambda p: p[0].trace))
+    return pairs + [EQUAL_TRACES]
 
 
 def _outcome(spec, a, b):
@@ -457,12 +481,29 @@ class TestCanonicalOrientation:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
 
     def test_equal_traces_ordered_by_entries(self):
-        # both traces are exactly 15, so the entries' bytes decide the order
-        a = spd([[4, 1, 0], [1, 5, 2], [0, 2, 6]])
-        b = spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]])
+        a, b = EQUAL_TRACES
         assert a.trace == b.trace
         for spec in SYMMETRIC_SPECS:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}-{s.z}")
+    def test_every_entry_point_gives_one_value(self, spec):
+        """The public kernel, dispatch, a pooled sweep cell and a transposed D21 cell
+        give the same bits for (a, b); a symmetric kernel's public (b, a) does too."""
+        public = PUBLIC_KERNELS[spec.kind]
+        pairs = _contract_pairs()
+        assert pairs[-2][1].trace < pairs[-2][0].trace
+        assert pairs[-1][0].trace == pairs[-1][1].trace
+        for k, (a, b) in enumerate(pairs):
+            values = [
+                public(a, b, **spec.params),
+                dispatch(spec, a, b),
+                cross_distances([a], [b], spec, workers=2).values[0, 0],
+                both_directions([b], [a], spec)[1].values[0, 0],
+            ]
+            if metrics.KERNELS[spec.kind].symmetric:
+                values.append(public(b, a, **spec.params))
+            assert len({float(v).hex() for v in values}) == 1, (k, values)
 
 
 def _cases(specs, kind, raises, reason):
@@ -477,7 +518,7 @@ def _cases(specs, kind, raises, reason):
 
 
 IDENTITY_CASES = _cases(
-    SYMMETRIC_SPECS + [MetricSpec("alpha_z", 0.99, 1.0), MetricSpec("alpha_z", 0.5, 0.8)],
+    ALL_SPECS,
     "bw", AssertionError, "bw(a, a) exceeds 1e-8 (1 + tr A) from about condition number 1e8",
 )
 TRIANGLE_CASES = _cases(
