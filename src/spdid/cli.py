@@ -146,6 +146,10 @@ def _file_map(workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # A spawned process still re-running its parent's unguarded main module
+    # (multiprocessing's own bootstrapping flag) cannot start processes.
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise BrokenExecutor("a loading process cannot open its own pool.")
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
 
         def pool_map(fn, items):

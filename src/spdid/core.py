@@ -131,6 +131,15 @@ def eigensolve(sym: np.ndarray, vectors: bool = False):
     return out
 
 
+def polar_factor(m: np.ndarray) -> np.ndarray:
+    """The orthogonal polar factor P Q^T of M = P S Q^T: the one SVD, guarded like eigensolve."""
+    try:
+        p, _, qt = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return p @ qt
+
+
 def _finish_validation(sym: np.ndarray) -> SpdMatrix:
     """PD-check an exactly-symmetric matrix and wrap it."""
     try:

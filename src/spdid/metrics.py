@@ -22,8 +22,8 @@ alpha-z Bures-Wasserstein families. alpha_z is a divergence, not a metric:
 it is generally asymmetric in (A, B).
 
 bw (and through it alpha_pro) is evaluated in the trace form above, from the
-eigenvalues alone, with a Procrustes-form fallback where the subtraction
-would cancel (see :func:`bures_wasserstein`).
+eigenvalues alone, with a Procrustes-form fallback through an SVD polar factor
+where the subtraction would cancel (see :func:`bures_wasserstein`).
 
 Each :data:`KERNELS` entry splits its kernel into a per-matrix ``prepare``
 step and a ``pair`` step, and records whether it is symmetric: all but alpha_z.
@@ -52,8 +52,9 @@ from .core import (
     SpdMatrix,
     UnknownMetric,
     eigensolve,
+    polar_factor,
 )
-from .matfun import Spectrum, eig_sym, spectral_pow, sym_inv_sqrt, sym_log, sym_sqrt
+from .matfun import Spectrum, eig_sym, spectral_pow, sym_log, sym_sqrt
 
 
 def _check_alpha(alpha: float | None) -> None:
@@ -84,23 +85,20 @@ def euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     return dispatch(MetricSpec("euclid"), a, b)
 
 
-def _triangle(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """pearson's state: the strict upper triangle, centred, and that norm."""
+def _triangle(a: SpdMatrix) -> tuple[np.ndarray, float]:
+    """pearson's state: the strict upper triangle, centred, and its norm. The triangle is
+    first scaled by the power of two that puts max |x| in [0.5, 1): that is exact, so nothing
+    overflows or underflows, and elsewhere the bits are those of the unscaled formula."""
     if a.n < 3:
         raise DegenerateVariance(f"pearson needs order >= 3, got {a.n}")
     x = a.entries[np.triu_indices(a.n, k=1)]
-    with np.errstate(over="ignore"):  # an overflow is caught by the pair
-        return (x, *_centred(x))
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    xc = x - x.mean()
+    return xc, float(np.sqrt(xc @ xc))
 
 
 def _pearson_pair(ta: tuple, tb: tuple) -> float:
-    (x, xc, nx), (y, yc, ny) = ta, tb
-    if nx and ny and not np.isfinite(nx * ny):
-        # The mean or a norm overflowed. Correlation is scale-invariant, so
-        # redo it on the unit-scaled triangles; inputs that do not overflow
-        # never take this branch and keep their bits.
-        xc, nx = _centred(x / np.abs(x).max())
-        yc, ny = _centred(y / np.abs(y).max())
+    (xc, nx), (yc, ny) = ta, tb
     if nx == 0.0 or ny == 0.0:
         raise DegenerateVariance("strict upper triangle is constant; correlation undefined")
     r = min(1.0, max(-1.0, float(xc @ yc) / (nx * ny)))
@@ -116,24 +114,24 @@ def pearson_dist(a: SpdMatrix, b: SpdMatrix) -> float:
     return dispatch(MetricSpec("pearson"), a, b)
 
 
-def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
-    xc = x - x.mean()
-    return xc, float(np.sqrt(xc @ xc))
-
-
 def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
     """Frobenius distance between matrix logarithms."""
     return dispatch(MetricSpec("log"), a, b)
 
 
+def _ai_prepare(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """ai's state: A, A^{-1/2}, and A's smallest and largest eigenvalues, from one spectrum."""
+    spectrum = eig_sym(a)
+    lam = spectrum.eigenvalues
+    return a.entries, spectral_pow(spectrum, -0.5).entries, lam[0], lam[-1]
+
+
 def _ai_pair(sa: tuple, sb: tuple) -> float:
-    isq, b = sa[1], sb[0]
+    (_, isq, _, max_a), (b, _, min_b, _) = sa, sb
     inner = isq @ b @ isq
-    lam = eigensolve((inner + inner.T) / 2.0)
-    if lam[0] <= 0.0:
-        raise NumericalError(
-            f"whitened product lost positive definiteness (eigenvalue {lam[0]:.6g})"
-        )
+    # By congruence, lambda_min(A^{-1/2} B A^{-1/2}) >= lambda_min(B) / lambda_max(A),
+    # so the floor only lifts eigenvalues that round-off pushed below that bound.
+    lam = np.maximum(eigensolve((inner + inner.T) / 2.0), min_b / max_a)
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
@@ -156,14 +154,7 @@ def _bw_pair(sa: tuple, sb: tuple) -> float:
     d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(eigensolve(inner), 0.0, None))))
     if d2 >= _BW_TRACE_FLOOR * scale:
         return float(np.sqrt(d2))
-    lam, vec = eigensolve(inner, vectors=True)
-    # By congruence, lambda_min(sqrt(A) B sqrt(A)) >= lambda_min(A) *
-    # lambda_min(B) > 0 for validated SPD inputs, so flooring only repairs
-    # eigensolver round-off and keeps lambda^(-1/2) finite.
-    lam = np.maximum(lam, a.min_eigenvalue * b.min_eigenvalue)
-    # polar factor U of M = sqrt(B) sqrt(A), via M (M^T M)^{-1/2}
-    u = ((sq_b @ sq_a) @ (vec * lam**-0.5)) @ vec.T
-    return float(np.linalg.norm(sq_a - sq_b @ u))
+    return float(np.linalg.norm(sq_a - sq_b @ polar_factor(sq_b @ sq_a)))
 
 
 def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -174,7 +165,7 @@ def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     solve (Bhatia, Jain & Lim 2019). That subtraction cancels
     catastrophically near A = B, so when d^2 < _BW_TRACE_FLOOR * (tr A + tr B)
     the distance is recomputed in the equivalent Procrustes form
-    ||A^{1/2} - B^{1/2} U||_F, with U the polar factor of B^{1/2} A^{1/2}:
+    ||A^{1/2} - B^{1/2} U||_F, U = P Q^T from the SVD B^{1/2} A^{1/2} = P S Q^T:
     the norm of a difference does not cancel. Swapping A and B gives the
     same bits: :meth:`Kernel.evaluate` takes the smaller trace as A.
     """
@@ -280,7 +271,7 @@ KERNELS: dict[str, Kernel] = {
     ),
     "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}, True),
     "bw": Kernel(lambda a: (a, sym_sqrt(a).entries), _bw_pair, {}, True),
-    "ai": Kernel(lambda a: (a.entries, sym_inv_sqrt(a).entries), _ai_pair, {}, True),
+    "ai": Kernel(_ai_prepare, _ai_pair, {}, True),
     "log": Kernel(sym_log, _frobenius, {}, True),
     "pearson": Kernel(_triangle, _pearson_pair, {}, True),
     "euclid": Kernel(lambda a: a.entries, _frobenius, {}, True),

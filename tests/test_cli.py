@@ -427,6 +427,22 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demo_out" / "REST_100" / "heatmap.png").is_file()
 
 
+def test_unguarded_script_ends_with_one_error_line(tmp_path):
+    """A script that runs the CLI with --workers 2 and no __main__ guard: each
+    spawned process re-runs it, refuses to open a pool of its own and prints
+    one error line, so no traceback reaches stderr."""
+    write_cohort(tmp_path / "data")
+    argv = base_argv(tmp_path / "data", tmp_path / "out", metric="euclid", extra=["--workers", "2"])
+    script = tmp_path / "unguarded.py"
+    script.write_text(f"from spdid.cli import main\nmain({argv!r})\n")
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: BrokenProcessPool: ")
+
+
 @pytest.mark.parametrize("module", ["spdid", "spdid.cli"])
 def test_python_dash_m_prints_usage(module):
     proc = subprocess.run(

@@ -1,8 +1,11 @@
 import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdid
 from spdid import MetricSpec, SpdMatrix, regularize, validate_spd
 from spdid.core import (
     InvalidParameter,
@@ -136,3 +139,17 @@ class TestMetricSpec:
     def test_unknown_kind(self):
         with pytest.raises(UnknownMetric):
             MetricSpec("mahalanobis")
+
+
+def test_lapack_calls_only_in_core():
+    """Every eigensolve and SVD goes through core's guards, so a LAPACK failure
+    always surfaces as NumericalError with one wording."""
+    lapack = re.compile(r"\b(eigh|eigvalsh|svd|LinAlgError)\b")
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(Path(spdid.__file__).parent.glob("*.py"))
+        if path.name != "core.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if lapack.search(line)
+    ]
+    assert offenders == []

@@ -23,6 +23,7 @@ from spdid import (
     log_euclid,
     nearest_match_table,
     pearson_dist,
+    regularize,
     sym_pow,
     validate_spd,
 )
@@ -92,6 +93,17 @@ class TestPearson:
     def test_too_small_order_rejected(self):
         with pytest.raises(DegenerateVariance):
             pearson_dist(spd([[2, 1], [1, 2]]), spd(np.eye(2)))
+
+    def test_underflowing_norms_rescaled(self):
+        # the centred triangles' squared norms (about 1e-340) underflow to 0
+        # unless the triangles are scaled first; the answer is the 1e-3 pair's
+        rng = np.random.default_rng(0)
+        g, h = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
+        tiny, moderate = (
+            [regularize(np.eye(5) + c * m, 0.0) for m in (g, h)] for c in (1e-170, 1e-3)
+        )
+        assert pearson_dist(*tiny) == pytest.approx(pearson_dist(*moderate), rel=1e-14)
+        assert pearson_dist(*tiny) == pytest.approx(1.3580817208536797, rel=1e-14)
 
     def test_overflowing_norms_rescaled(self):
         # identical off-diagonals, so the true distance is 0, but the product
@@ -182,12 +194,10 @@ class TestBuresWasserstein:
         a = random_spd(rng, 6)
         b = spd(c * a.entries)
         calls = []
-        solve = metrics.eigensolve
-        monkeypatch.setattr(
-            metrics, "eigensolve", lambda m, vectors=False: calls.append(vectors) or solve(m, vectors)
-        )
+        polar = metrics.polar_factor
+        monkeypatch.setattr(metrics, "polar_factor", lambda m: calls.append(m) or polar(m))
         got = bures_wasserstein(a, b)
-        assert calls == ([False, True] if fallback else [False])
+        assert len(calls) == (1 if fallback else 0)
         assert got == pytest.approx(abs(1.0 - np.sqrt(c)) * np.sqrt(a.trace), rel=1e-6)
 
 
@@ -399,6 +409,12 @@ class TestLinAlgErrorWrapped:
         with pytest.raises(NumericalError, match="did not converge"):
             bures_wasserstein(*pair_then_failing_eigh)
 
+    def test_bures_wasserstein_polar_factor(self, monkeypatch):
+        a = diag(1.0, 2.0)  # bw(a, a) takes the Procrustes fallback
+        monkeypatch.setattr(np.linalg, "svd", _no_convergence)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            bures_wasserstein(a, a)
+
     def test_affine_invariant(self, pair_then_failing_eigvalsh):
         with pytest.raises(NumericalError, match="did not converge"):
             affine_invariant(*pair_then_failing_eigvalsh)
@@ -425,6 +441,11 @@ SYMMETRIC_SPECS = [
     MetricSpec("alpha_pro", alpha=0.3),
 ]
 ALL_SPECS = SYMMETRIC_SPECS + [MetricSpec("alpha_z", 0.99, 1.0), MetricSpec("alpha_z", 0.5, 0.8)]
+
+
+def spec_id(s):
+    return f"{s.kind}-{s.alpha}-{s.z}"
+
 
 PUBLIC_KERNELS = {
     "euclid": euclid,
@@ -486,7 +507,7 @@ class TestCanonicalOrientation:
         for spec in SYMMETRIC_SPECS:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}-{s.z}")
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
     def test_every_entry_point_gives_one_value(self, spec):
         """The public kernel, dispatch, a pooled sweep cell and a transposed D21 cell
         give the same bits for (a, b); a symmetric kernel's public (b, a) does too."""
@@ -506,32 +527,11 @@ class TestCanonicalOrientation:
             assert len({float(v).hex() for v in values}) == 1, (k, values)
 
 
-def _cases(specs, kind, raises, reason):
-    """One parameter per spec; ``kind``'s is an expected failure: a program defect at
-    high condition numbers (see CHANGES.md), shown by the explicit example. Not
-    strict: round-off at that example may differ on another BLAS."""
-    xfail = pytest.mark.xfail(raises=raises, strict=False, reason=reason)
-    return [
-        pytest.param(s, id=f"{s.kind}-{s.alpha}-{s.z}", marks=[xfail] if s.kind == kind else [])
-        for s in specs
-    ]
-
-
-IDENTITY_CASES = _cases(
-    ALL_SPECS,
-    "bw", AssertionError, "bw(a, a) exceeds 1e-8 (1 + tr A) from about condition number 1e8",
-)
-TRIANGLE_CASES = _cases(
-    [s for s in SYMMETRIC_SPECS if s.kind != "pearson"],
-    "ai", NumericalError, "ai rejects pairs whose whitened product round-off makes indefinite",
-)
-
-
 class TestAxiomsThroughDispatch:
     """Identity and the triangle inequality at condition numbers up to 1e12,
     with the fixed-seed tests' tolerances (TestSharedProperties)."""
 
-    @pytest.mark.parametrize("spec", IDENTITY_CASES)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
     @settings(max_examples=60, deadline=None)
     @example(seed=0, n=3, log_cond=11.0, log_scale=0.0)
     @given(
@@ -544,7 +544,7 @@ class TestAxiomsThroughDispatch:
         a = _spd_with_condition(np.random.default_rng(seed), n, log_cond, log_scale)
         assert dispatch(spec, a, a) <= 1e-8 * (1 + a.trace)
 
-    @pytest.mark.parametrize("spec", TRIANGLE_CASES)
+    @pytest.mark.parametrize("spec", [s for s in SYMMETRIC_SPECS if s.kind != "pearson"], ids=spec_id)
     @settings(max_examples=60, deadline=None)
     @example(seed=0, n=2, log_cond=9.0, log_scale=0.0)
     @given(
