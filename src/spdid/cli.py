@@ -2,9 +2,11 @@
 
 For every (task, resolution) combination the tool discovers subjects for both
 scan directions, intersects the subject sets, loads and regularizes the
-matrices (in worker processes when ``--workers`` is above 1), computes the
-two cross-distance matrices, and writes D12.csv, D21.csv, report.json, and
-optionally heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
+matrices (in worker processes, each with one BLAS thread, when ``--workers``
+is above 1), computes the two cross-distance matrices (``--workers`` threads
+share the probe rows, which pays only for some kernels and orders; see the
+README), and writes D12.csv, D21.csv, report.json, and optionally
+heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
 to stdout. Exit codes: 0 full success, 1 if any combination failed (the rest
 still run), 2 usage error. A combination fails on any SpdError and on any
 OSError, such as an output directory that cannot be created or written. A
@@ -15,6 +17,7 @@ line, and the combinations already written stay.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -93,41 +96,26 @@ def parse_args(argv) -> argparse.Namespace:
 
 def write_distance_csv(path, d: DistanceMatrix) -> None:
     """CSV with gallery labels as the header and probe labels as column one."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("," + ",".join(d.gallery_labels) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["", *d.gallery_labels])
         for label, row in zip(d.probe_labels, d.values):
-            fh.write(label + "," + ",".join("%.17g" % v for v in row) + "\n")
+            out.writerow([label, *("%.17g" % v for v in row)])
 
 
-def _misidentified(d: DistanceMatrix) -> list[dict]:
-    out = []
-    for row in nearest_match_table(d):
-        if row.closest_gallery_label != row.probe_label or row.ambiguous:
-            out.append(
-                {
-                    "probe": row.probe_label,
-                    "closest": row.closest_gallery_label,
-                    "within_distance": row.within_distance,
-                    "best_other_distance": row.best_other_distance,
-                    "ambiguous": row.ambiguous,
-                }
-            )
-    return out
-
-
-@contextmanager
-def _one_blas_thread():
-    """Set every BLAS thread variable to 1, then restore ``os.environ`` exactly."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+def _misidentified(d: DistanceMatrix, hits: tuple[bool, ...]) -> list[dict]:
+    """The nearest-match rows of the probes that ``hits`` (the ID report's) scores as misses."""
+    return [
+        {
+            "probe": row.probe_label,
+            "closest": row.closest_gallery_label,
+            "within_distance": row.within_distance,
+            "best_other_distance": row.best_other_distance,
+            "ambiguous": row.ambiguous,
+        }
+        for row, hit in zip(nearest_match_table(d), hits)
+        if not hit
+    ]
 
 
 @contextmanager
@@ -135,9 +123,10 @@ def _file_map(workers: int):
     """Yield the ordered ``map`` that loads a combination's matrix files.
 
     With one worker it is the builtin ``map``. With more it is the ``map`` of
-    one pool of that many spawned processes, each with one BLAS thread; its
-    results come back in input order, so the first failure raised is the
-    one a serial loop would raise.
+    one pool of that many spawned processes, each with one BLAS thread: every
+    BLAS thread variable is 1 while the pool is open, and ``os.environ`` is
+    restored exactly when it closes. Results come back in input order, so the
+    first failure raised is the one a serial loop would raise.
     """
     if workers == 1:
         yield map
@@ -150,15 +139,17 @@ def _file_map(workers: int):
     # (multiprocessing's own bootstrapping flag) cannot start processes.
     if getattr(multiprocessing.current_process(), "_inheriting", False):
         raise BrokenExecutor("a loading process cannot open its own pool.")
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-
-        def pool_map(fn, items):
-            # The pool spawns its processes inside map's submissions, and a
-            # spawned process reads the thread variables once, at start-up.
-            with _one_blas_thread():
-                return pool.map(fn, items)
-
-        yield pool_map
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool.map
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) -> dict:
@@ -205,8 +196,8 @@ def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) 
         "mean": report.mean,
         "per_subject_hits12": list(report.per_subject_hits12),
         "per_subject_hits21": list(report.per_subject_hits21),
-        "misidentified12": _misidentified(d12),
-        "misidentified21": _misidentified(d21),
+        "misidentified12": _misidentified(d12, report.per_subject_hits12),
+        "misidentified21": _misidentified(d21, report.per_subject_hits21),
     }
     with open(combo_dir / "report.json", "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -140,26 +140,6 @@ def polar_factor(m: np.ndarray) -> np.ndarray:
     return p @ qt
 
 
-def _finish_validation(sym: np.ndarray) -> SpdMatrix:
-    """PD-check an exactly-symmetric matrix and wrap it."""
-    try:
-        lam_min = float(eigensolve(sym)[0])
-    except NumericalError as exc:
-        # finite entries whose half-sum (or tau shift) overflowed to inf
-        if not np.all(np.isfinite(sym)):
-            bad = np.argwhere(~np.isfinite(sym))[0]
-            raise NonFiniteEntry(
-                f"entries overflow when symmetrized at ({bad[0]}, {bad[1]})"
-            ) from exc
-        raise
-    if lam_min <= PD_FLOOR:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.6g} is at or below the floor "
-            f"{PD_FLOOR:g}; increase the regularization tau"
-        )
-    return SpdMatrix(sym, lam_min)
-
-
 def check_tau(tau: float) -> None:
     """Reject a regularization shift that is negative, infinite or NaN."""
     if not (np.isfinite(tau) and tau >= 0):
@@ -178,7 +158,22 @@ def regularize(raw, tau: float) -> SpdMatrix:
     if tau != 0.0:
         idx = np.arange(sym.shape[0])
         sym[idx, idx] += tau
-    return _finish_validation(sym)
+    try:
+        lam_min = float(eigensolve(sym)[0])
+    except NumericalError as exc:
+        # finite entries whose half-sum (or tau shift) overflowed to inf
+        if not np.all(np.isfinite(sym)):
+            bad = np.argwhere(~np.isfinite(sym))[0]
+            raise NonFiniteEntry(
+                f"entries overflow when symmetrized at ({bad[0]}, {bad[1]})"
+            ) from exc
+        raise
+    if lam_min <= PD_FLOOR:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {lam_min:.6g} is at or below the floor "
+            f"{PD_FLOOR:g}; increase the regularization tau"
+        )
+    return SpdMatrix(sym, lam_min)
 
 
 def validate_spd(raw) -> SpdMatrix:
@@ -193,4 +188,4 @@ def validate_spd(raw) -> SpdMatrix:
     asym = float(np.abs(a - a.T).max())
     if asym > tol:
         raise NotSymmetric(f"asymmetry {asym:.6g} exceeds tolerance {tol:.6g}")
-    return _finish_validation((a + a.T) / 2.0)
+    return regularize(a, 0.0)

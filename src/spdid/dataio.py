@@ -51,12 +51,14 @@ class SubjectRecord:
 
 
 def _subject_regex(parts: list[str]) -> re.Pattern:
-    # The literal parts of a path around its {subject} slots.
-    pattern = re.escape(parts[0])
-    for k, part in enumerate(parts[1:]):
-        group = r"(?P<subject>[^/\\]+)" if k == 0 else r"(?P=subject)"
-        pattern += group + re.escape(part)
-    return re.compile(pattern + r"\Z")
+    # The literal parts of a path around its {subject} slots. glob joins a
+    # wildcard to its directory with one "/", so a run of them ending a part
+    # (a base given as "data/" or "data//") matches a run of any length.
+    pattern = ""
+    for k, part in enumerate(parts[:-1]):
+        pattern += re.sub(r"/+\Z", "/+", re.escape(part))
+        pattern += r"(?P<subject>[^/\\]+)" if k == 0 else r"(?P=subject)"
+    return re.compile(pattern + re.escape(parts[-1]) + r"\Z")
 
 
 def find_subject_paths(

@@ -77,7 +77,15 @@ def _clamp_negative(value: float, scale: float) -> float:
 
 
 def _frobenius(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(x - y))
+    """||x - y||_F. Only where the plain norm's squares overflow is it recomputed from the
+    difference scaled by the power of two that puts max |d| in [0.5, 1), as `_triangle` does."""
+    with np.errstate(over="ignore"):
+        d = x - y
+        norm = float(np.linalg.norm(d))
+        if not np.isfinite(norm):
+            e = int(np.frexp(np.abs(d).max())[1])
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
+    return norm
 
 
 def euclid(a: SpdMatrix, b: SpdMatrix) -> float:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: random SPD generators, oracles, CSV reader."""
 
+import csv
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -36,12 +36,12 @@ def load_or_exit(path, **kwargs) -> SpdMatrix:
 
 def read_distance_csv(path, metric: MetricSpec) -> DistanceMatrix:
     """Read back a D12.csv/D21.csv written by ``spdid.cli.write_distance_csv``."""
-    lines = Path(path).read_text().splitlines()
-    gallery = tuple(lines[0].split(",")[1:])
+    with open(path, newline="") as fh:
+        header, *body = csv.reader(fh)
+    gallery = tuple(header[1:])
     probe = []
     rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
+    for cells in body:
         probe.append(cells[0])
         rows.append([float(c) for c in cells[1:]])
     values = np.array(rows)

@@ -1,3 +1,4 @@
+import ast
 import json
 import multiprocessing
 import os
@@ -130,6 +131,16 @@ class TestCsvRoundTrip:
         assert back.probe_labels == d.probe_labels
         assert back.gallery_labels == d.gallery_labels
         assert np.abs(back.values - d.values).max() <= 1e-12
+
+    def test_comma_in_subject_id_round_trips(self, tmp_path):
+        write_cohort(tmp_path / "data", n_subjects=2)
+        (tmp_path / "data" / "s002").rename(tmp_path / "data" / "s,02")
+        out = tmp_path / "out"
+        assert run(parse_args(base_argv(tmp_path / "data", out, metric="euclid", n=2))) == 0
+        for name in ("D12.csv", "D21.csv"):
+            back = read_distance_csv(out / "REST_8" / name, MetricSpec("euclid"))
+            assert back.probe_labels == back.gallery_labels == ("s,02", "s001")
+            assert back.values.shape == (2, 2)
 
 
 class TestRun:
@@ -378,7 +389,9 @@ class TestRun:
         monkeypatch.setattr(cli, "load_matrix", load_or_exit)
         out = tmp_path / "out"
         argv = base_argv(tmp_path / "data", out, extra=["--resolutions", "8", "5", "6", "--workers", "2"])
+        before = dict(os.environ)
         assert run(parse_args(argv)) == 1
+        assert dict(os.environ) == before
         captured = capsys.readouterr()
         last = captured.err.splitlines()[-1]
         assert last.startswith("error: BrokenProcessPool: ")
@@ -441,6 +454,38 @@ def test_unguarded_script_ends_with_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: BrokenProcessPool: ")
+
+
+ENVIRON_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__")
+
+
+def _writes_environ(node: ast.AST) -> bool:
+    if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+        return ast.unparse(node.value) == "os.environ"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        owner, name = ast.unparse(node.func.value), node.func.attr
+        return (owner == "os.environ" and name in ENVIRON_MUTATORS) or (
+            owner == "os" and name in ("putenv", "unsetenv")
+        )
+    return False
+
+
+def test_environment_written_only_by_file_map():
+    """Only cli._file_map writes os.environ, so the one-BLAS-thread window
+    opens and closes with the loading pool."""
+    offenders = []
+    for path in sorted(Path(spdid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = set()
+        for node in ast.walk(tree):
+            if path.name == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "_file_map":
+                owner = set(range(node.lineno, node.end_lineno + 1))
+        offenders += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if _writes_environ(node) and node.lineno not in owner
+        ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("module", ["spdid", "spdid.cli"])

@@ -289,6 +289,13 @@ class TestFindSubjectPaths:
             ("s01", str(base / "s01" / "REST_LR_2.txt"))
         ]
 
+    def test_trailing_slashes_on_base_find_the_same_subjects(self, tmp_path):
+        make_tree(tmp_path, ["s01", "s02"])
+        want = find_subject_paths(tmp_path, "REST", "LR", [5], 10, TEMPLATE)
+        for suffix in ("/", "//"):
+            recs = find_subject_paths(f"{tmp_path}{suffix}", "REST", "LR", [5], 10, TEMPLATE)
+            assert recs == want
+
     def test_template_requires_placeholders(self):
         with pytest.raises(InvalidParameter):
             PathTemplate("{base}/{subject}/{task}.txt")

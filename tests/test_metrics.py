@@ -60,6 +60,16 @@ class TestEuclid:
         with pytest.raises(DimensionMismatch):
             euclid(spd(np.eye(2)), spd(np.eye(3)))
 
+    def test_overflowing_squares_rescaled(self):
+        # the squares of the 1e160-scale differences overflow; the distance does not
+        rng = np.random.default_rng(8)
+        a, b = random_spd(rng, 4), random_spd(rng, 4)
+        big_a, big_b = spd(1e160 * a.entries), spd(1e160 * b.entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = euclid(big_a, big_b)
+        assert scaled == pytest.approx(1e160 * euclid(a, b), rel=1e-14)
+
 
 class TestPearson:
     def test_self_distance_zero(self):
