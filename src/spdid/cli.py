@@ -2,11 +2,10 @@
 
 For every (task, resolution) combination the tool discovers subjects for both
 scan directions, intersects the subject sets, loads and regularizes the
-matrices (in worker processes, each with one BLAS thread, when ``--workers``
-is above 1), computes the two cross-distance matrices (``--workers`` threads
-share the probe rows, which pays only for some kernels and orders; see the
-README), and writes D12.csv, D21.csv, report.json, and optionally
-heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
+matrices (in ``--workers`` spawned processes, each with one BLAS thread, when
+``--workers`` is above 1; this is all the flag sizes), computes the two
+cross-distance matrices serially, and writes D12.csv, D21.csv, report.json,
+and optionally heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
 to stdout. Exit codes: 0 full success, 1 if any combination failed (the rest
 still run), 2 usage error. A combination fails on any SpdError and on any
 OSError, such as an output directory that cannot be created or written. A
@@ -75,7 +74,10 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--path-template", default=DEFAULT_TEMPLATE)
     p.add_argument("--out-dir", default="spd_id_output")
     p.add_argument("--emit-heatmap", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that load the matrix files, each with one BLAS thread (default 1)",
+    )
     args = p.parse_args(argv)
     try:
         params = {name: getattr(args, name) for name in KERNELS[args.metric].params}
@@ -175,9 +177,7 @@ def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) 
     paths = [by_id[s] for by_id in by_scan for s in common]
     mats = list(file_map(partial(load_matrix, tau=config.tau, expected_n=res), paths))
     mats1, mats2 = mats[: len(common)], mats[len(common) :]
-    d12, d21 = both_directions(
-        mats1, mats2, config.metric, common, common, workers=config.workers
-    )
+    d12, d21 = both_directions(mats1, mats2, config.metric, common, common)
     report = id_report(d12, d21)
 
     combo_dir = Path(config.out_dir) / f"{task}_{res}"

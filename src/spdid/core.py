@@ -154,20 +154,17 @@ def regularize(raw, tau: float) -> SpdMatrix:
     """
     check_tau(tau)
     a = as_square(raw)
-    sym = (a + a.T) / 2.0
-    if tau != 0.0:
-        idx = np.arange(sym.shape[0])
-        sym[idx, idx] += tau
-    try:
-        lam_min = float(eigensolve(sym)[0])
-    except NumericalError as exc:
-        # finite entries whose half-sum (or tau shift) overflowed to inf
-        if not np.all(np.isfinite(sym)):
-            bad = np.argwhere(~np.isfinite(sym))[0]
-            raise NonFiniteEntry(
-                f"entries overflow when symmetrized at ({bad[0]}, {bad[1]})"
-            ) from exc
-        raise
+    # finite entries whose half-sum (or tau shift) overflows to inf are
+    # rejected by the check below, not by a warning
+    with np.errstate(over="ignore"):
+        sym = (a + a.T) / 2.0
+        if tau != 0.0:
+            idx = np.arange(sym.shape[0])
+            sym[idx, idx] += tau
+    if not np.all(np.isfinite(sym)):
+        bad = np.argwhere(~np.isfinite(sym))[0]
+        raise NonFiniteEntry(f"entries overflow when symmetrized at ({bad[0]}, {bad[1]})")
+    lam_min = float(eigensolve(sym)[0])
     if lam_min <= PD_FLOOR:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {lam_min:.6g} is at or below the floor "
@@ -185,7 +182,8 @@ def validate_spd(raw) -> SpdMatrix:
     """
     a = as_square(raw)
     tol = SYMMETRY_RTOL * (1.0 + float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
+    with np.errstate(over="ignore"):  # an overflowing difference is inf, > tol
+        asym = float(np.abs(a - a.T).max())
     if asym > tol:
         raise NotSymmetric(f"asymmetry {asym:.6g} exceeds tolerance {tol:.6g}")
     return regularize(a, 0.0)

@@ -32,8 +32,8 @@ takes a symmetric kernel in one canonical orientation, so k(a, b) and k(b, a)
 are the same bits and a sweep may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
-tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, an O(n^2)
-entrywise product of two powers that are prepared once per matrix.
+tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
+dot products of two powers that are prepared once per matrix.
 """
 
 from __future__ import annotations
@@ -219,8 +219,10 @@ def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
     """The divergence before round-off negatives are clamped."""
     (tr_a, a_pow, _), (tr_b, _, b_pow) = sa, sb
     if z == 1.0:
-        # tr Q = <A^{1-a}, B^a>_F; the trace of a product of SPD matrices is > 0
-        q = float(np.sum(a_pow * b_pow))
+        # tr Q = <A^{1-a}, B^a>_F as row dot products summed pairwise: less
+        # round-off than one BLAS dot of the flattened powers, and the same bits
+        # at any BLAS thread count. A trace of a product of SPD matrices is > 0.
+        q = float(np.einsum("ij,ij->i", a_pow, b_pow).sum())
         if not (np.isfinite(q) and q > 0.0):
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
     else:

@@ -1,10 +1,9 @@
-"""Labeled probe x gallery cross-distance matrices with row-parallel execution.
+"""Labeled probe x gallery cross-distance matrices.
 
-Every input matrix is prepared once, serially, before any pair runs: its
-kernel's ``prepare`` step (see :data:`spdid.metrics.KERNELS`) turns it into a
-state that is never written again. The pool then computes each cell from two
-states, one probe row per unit of work, and writes it to its preassigned
-slot, so the result is bitwise identical for any worker count.
+Every input matrix is prepared once, before any pair runs: its kernel's
+``prepare`` step (see :data:`spdid.metrics.KERNELS`) turns it into a state
+that is never written again. The sweep then computes each cell from two
+states, serially in row order.
 
 Each cell is one :meth:`spdid.metrics.Kernel.evaluate` call, bit for bit what
 ``dispatch`` gives. For a symmetric kernel :func:`both_directions` computes one
@@ -15,7 +14,6 @@ both ways over the same states, which hold both sides' powers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,15 +66,13 @@ def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):
     return sides
 
 
-def _sweep(spec: MetricSpec, probe, gallery, workers: int) -> DistanceMatrix:
-    """Every probe x gallery cell, one pool task per row. Fails fast on the first
-    kernel error in row order, annotated with its row, column and labels."""
+def _sweep(spec: MetricSpec, probe, gallery) -> DistanceMatrix:
+    """Every probe x gallery cell in row order. Fails fast on the first kernel
+    error, annotated with its row, column and labels."""
     (p_mats, p_labels, p_states), (g_mats, g_labels, g_states) = probe, gallery
     record, params = KERNELS[spec.kind], spec.params
     values = np.empty((len(p_mats), len(g_mats)))
-
-    def fill(i: int) -> None:
-        a, sa = p_mats[i], p_states[i]
+    for i, (a, sa) in enumerate(zip(p_mats, p_states)):
         for j, (b, sb) in enumerate(zip(g_mats, g_states)):
             try:
                 values[i, j] = record.evaluate(a, sa, b, sb, params)
@@ -84,9 +80,6 @@ def _sweep(spec: MetricSpec, probe, gallery, workers: int) -> DistanceMatrix:
                 raise type(exc)(
                     f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"
                 ) from exc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(len(p_mats))))
     values.setflags(write=False)
     return DistanceMatrix(p_labels, g_labels, values, spec)
 
@@ -101,10 +94,9 @@ def cross_distances(
 ) -> DistanceMatrix:
     """values[i][j] = dispatch(spec, probe[i], gallery[j]); an error names its matrix or cell.
 
-    ``workers`` defaults to 1, since each kernel call may already run
-    multi-threaded BLAS; it never affects the output values.
+    ``workers`` must be >= 1 and changes nothing: the sweep is serial.
     """
-    return _sweep(spec, *_prepare(probe, gallery, spec, probe_labels, gallery_labels, workers), workers)
+    return _sweep(spec, *_prepare(probe, gallery, spec, probe_labels, gallery_labels, workers))
 
 
 def both_directions(
@@ -119,12 +111,13 @@ def both_directions(
 
     For a symmetric kernel the second is the transpose of the first, bit for
     bit equal to ``cross_distances(set2, set1, ...)``. The alpha_z divergence
-    is asymmetric, so it is computed in both directions.
+    is asymmetric, so it is computed in both directions. ``workers`` must be
+    >= 1 and changes nothing, as in :func:`cross_distances`.
     """
     side1, side2 = _prepare(set1, set2, spec, labels1, labels2, workers)
-    d12 = _sweep(spec, side1, side2, workers)
+    d12 = _sweep(spec, side1, side2)
     if KERNELS[spec.kind].symmetric:
         d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
     else:
-        d21 = _sweep(spec, side2, side1, workers)
+        d21 = _sweep(spec, side2, side1)
     return d12, d21

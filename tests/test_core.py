@@ -73,9 +73,10 @@ class TestRegularize:
         with pytest.raises(ShapeMismatch):
             regularize(np.ones((2, 3)), 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symmetrization_rejected(self):
-        # finite entries whose half-sum overflows off the diagonal
+        # finite entries whose half-sum overflows off the diagonal: the typed
+        # error, not numpy's overflow warning
         with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 1\)"):
             regularize([[1.0, 1.5e308], [1.5e308, 1.0]], 0.0)
 
@@ -110,11 +111,19 @@ class TestValidateSpd:
         with pytest.raises(NotSymmetric):
             validate_spd([[1.0, 0.5], [0.3, 1.0]])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symmetrization_rejected(self):
         # every entry is finite, but the half-sum overflows to inf
         with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
             validate_spd([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
+            validate_spd(np.diag([np.finfo(float).max, 1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_asymmetry_rejected(self):
+        # a - a.T overflows to inf, which exceeds any tolerance
+        with pytest.raises(NotSymmetric, match="asymmetry inf exceeds"):
+            validate_spd([[1.0, 1e308], [-1e308, 1.0]])
 
     def test_entries_write_locked(self):
         s = validate_spd(np.eye(2))

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spdid
 from spdid import MetricSpec, both_directions, cross_distances, validate_spd
 from spdid.core import DegenerateVariance, DimensionMismatch, InvalidParameter, NumericalError
 from support import spd_pool
@@ -97,7 +101,10 @@ def test_worker_count_never_changes_bits(kind, alpha, z):
 
 @pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
 def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
-    from spdid import metrics, pairwise
+    # (named for the thread pool the sweep no longer has) every matrix is
+    # prepared exactly once, all before the first pair, so `pair` only reads
+    # states; alpha_z sweeps both directions over the same states
+    from spdid import metrics
 
     rng = np.random.default_rng(7)
     set1 = spd_pool(rng, 5, 4)
@@ -111,21 +118,31 @@ def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
         events.append(id(m))
         return record.prepare(m, **params)
 
-    class Pool(pairwise.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            events.append("pool")
-            super().__init__(*args, **kwargs)
+    def pair(sa, sb, **params):
+        events.append("pair")
+        return record.pair(sa, sb, **params)
 
-    monkeypatch.setitem(metrics.KERNELS, kind, record._replace(prepare=prepare))
-    monkeypatch.setattr(pairwise, "ThreadPoolExecutor", Pool)
+    monkeypatch.setitem(metrics.KERNELS, kind, record._replace(prepare=prepare, pair=pair))
     got = both_directions(set1, set2, spec, workers=2)
-    # every matrix is prepared exactly once, all before the first pool is
-    # built, so the pool threads only read states; alpha_z sweeps twice
-    first = events.index("pool")
+    first = events.index("pair")
     assert sorted(events[:first]) == sorted(id(m) for m in set1 + set2)
-    assert events[first:] == ["pool"] * (1 if record.symmetric else 2)
+    cells = len(set1) * len(set2)
+    assert events[first:] == ["pair"] * (cells if record.symmetric else 2 * cells)
     for d, e in zip(got, expected):
         np.testing.assert_array_equal(d.values, e.values)
+
+
+def test_source_starts_no_threads():
+    """--workers sizes only the loading processes: no module of the package
+    imports a thread pool or the threading module."""
+    threads = re.compile(r"\b(ThreadPoolExecutor|threading)\b")
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(Path(spdid.__file__).parent.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if threads.search(line)
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("kind,alpha,z,shared", [
