@@ -86,8 +86,8 @@ def as_square(entries) -> np.ndarray:
 class SpdMatrix:
     """A validated symmetric positive-definite matrix.
 
-    The entries are immutable: the array is write-locked, and the trace and
-    the smallest eigenvalue found at validation time are stored with it.
+    The entries are immutable: the array is write-locked, and the finite trace
+    and the smallest eigenvalue found at validation time are stored with it.
     Nothing is cached, so threads may share it; what a kernel derives from a
     matrix is its ``prepare`` step's state (see :data:`spdid.metrics.KERNELS`).
     Construct through :func:`validate_spd` or :func:`regularize`.
@@ -101,7 +101,10 @@ class SpdMatrix:
         sym_entries.setflags(write=False)
         self.entries = sym_entries
         self.min_eigenvalue = float(min_eigenvalue)
-        self.trace = float(np.trace(sym_entries))
+        with np.errstate(over="ignore"):  # a diagonal that sums past the float range
+            self.trace = float(np.trace(sym_entries))
+        if not np.isfinite(self.trace):
+            raise NonFiniteEntry(f"trace {self.trace} is not finite")
 
     def __reduce__(self):
         # Rebuild through __init__, so an unpickled copy is write-locked too.
@@ -149,15 +152,16 @@ def check_tau(tau: float) -> None:
 def regularize(raw, tau: float) -> SpdMatrix:
     """Symmetrize, shift by ``tau`` on the diagonal, and validate.
 
-    Returns ``(raw + raw.T)/2 + tau*I`` as an :class:`SpdMatrix`. The output
+    Returns ``raw/2 + raw.T/2 + tau*I`` as an :class:`SpdMatrix`. The output
     is exactly symmetric by construction. ``tau`` must be finite and >= 0.
     """
     check_tau(tau)
     a = as_square(raw)
-    # finite entries whose half-sum (or tau shift) overflows to inf are
-    # rejected by the check below, not by a warning
+    # halving first keeps the half-sum of finite entries finite; a tau shift
+    # that overflows to inf is rejected by the check below, not by a warning
     with np.errstate(over="ignore"):
-        sym = (a + a.T) / 2.0
+        half = a / 2.0
+        sym = half + half.T
         if tau != 0.0:
             idx = np.arange(sym.shape[0])
             sym[idx, idx] += tau

@@ -54,7 +54,7 @@ from .core import (
     eigensolve,
     polar_factor,
 )
-from .matfun import Spectrum, eig_sym, spectral_pow, sym_log, sym_sqrt
+from .matfun import eig_sym, spectrum_map, sym_log, sym_sqrt
 
 
 def _check_alpha(alpha: float | None) -> None:
@@ -129,9 +129,8 @@ def log_euclid(a: SpdMatrix, b: SpdMatrix) -> float:
 
 def _ai_prepare(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
     """ai's state: A, A^{-1/2}, and A's smallest and largest eigenvalues, from one spectrum."""
-    spectrum = eig_sym(a)
-    lam = spectrum.eigenvalues
-    return a.entries, spectral_pow(spectrum, -0.5).entries, lam[0], lam[-1]
+    lam, vec = eig_sym(a)
+    return a.entries, spectrum_map(vec, lam ** -0.5), lam[0], lam[-1]
 
 
 def _ai_pair(sa: tuple, sb: tuple) -> float:
@@ -154,11 +153,11 @@ _BW_TRACE_FLOOR = 1e-3
 
 
 def _bw_pair(sa: tuple, sb: tuple) -> float:
-    """bw from two states (matrix, its square root); alpha_pro's pair too."""
-    (a, sq_a), (b, sq_b) = sa, sb
-    inner = sq_a @ b.entries @ sq_a
+    """bw from two states (trace, matrix, square root); alpha_pro's pair too."""
+    (tr_a, _, sq_a), (tr_b, b, sq_b) = sa, sb
+    inner = sq_a @ b @ sq_a
     inner = (inner + inner.T) / 2.0
-    scale = a.trace + b.trace
+    scale = tr_a + tr_b
     d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(eigensolve(inner), 0.0, None))))
     if d2 >= _BW_TRACE_FLOOR * scale:
         return float(np.sqrt(d2))
@@ -180,11 +179,12 @@ def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     return dispatch(MetricSpec("bw"), a, b)
 
 
-def _alpha_pro_prepare(a: SpdMatrix, alpha: float) -> tuple[SpdMatrix, np.ndarray]:
-    """bw's state of A^{2 alpha}: the power and its square root, from A's one spectrum."""
-    spectrum = eig_sym(a)
-    power = Spectrum(spectrum.eigenvalues ** (2.0 * alpha), spectrum.eigenvectors)
-    return spectral_pow(power, 1.0), spectral_pow(power, 0.5).entries
+def _alpha_pro_prepare(a: SpdMatrix, alpha: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """bw's state of P = A^{2 alpha}: (tr P, P, P^{1/2}), from A's one spectrum."""
+    lam, vec = eig_sym(a)
+    lam = lam ** (2.0 * alpha)
+    power = spectrum_map(vec, lam)
+    return float(np.trace(power)), power, spectrum_map(vec, lam ** 0.5)
 
 
 def _alpha_pro_pair(sa: tuple, sb: tuple, alpha: float) -> float:
@@ -209,9 +209,9 @@ def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.nd
             "nonnegativity is not guaranteed in this parameter region",
             stacklevel=2,
         )
-    spectrum = eig_sym(a)
-    probe = spectral_pow(spectrum, (1.0 - alpha) / z).entries
-    gallery = spectral_pow(spectrum, alpha if z == 1.0 else alpha / (2.0 * z)).entries
+    lam, vec = eig_sym(a)
+    probe = spectrum_map(vec, lam ** ((1.0 - alpha) / z))
+    gallery = spectrum_map(vec, lam ** (alpha if z == 1.0 else alpha / (2.0 * z)))
     return a.trace, probe, gallery
 
 
@@ -280,7 +280,7 @@ KERNELS: dict[str, Kernel] = {
         _alpha_z_prepare, _alpha_z_pair, {"alpha": _check_alpha, "z": _check_z}, False
     ),
     "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}, True),
-    "bw": Kernel(lambda a: (a, sym_sqrt(a).entries), _bw_pair, {}, True),
+    "bw": Kernel(lambda a: (a.trace, a.entries, sym_sqrt(a).entries), _bw_pair, {}, True),
     "ai": Kernel(_ai_prepare, _ai_pair, {}, True),
     "log": Kernel(sym_log, _frobenius, {}, True),
     "pearson": Kernel(_triangle, _pearson_pair, {}, True),

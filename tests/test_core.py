@@ -12,6 +12,7 @@ from spdid.core import (
     NonFiniteEntry,
     NotPositiveDefinite,
     NotSymmetric,
+    NumericalError,
     ShapeMismatch,
     UnknownMetric,
 )
@@ -75,10 +76,13 @@ class TestRegularize:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symmetrization_rejected(self):
-        # finite entries whose half-sum overflows off the diagonal: the typed
-        # error, not numpy's overflow warning
-        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 1\)"):
+        # the half-sum of finite entries stays finite: this matrix is indefinite
+        with pytest.raises(NotPositiveDefinite):
             regularize([[1.0, 1.5e308], [1.5e308, 1.0]], 0.0)
+        # a tau shift that overflows: the typed error, not numpy's overflow warning
+        big = np.finfo(float).max
+        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
+            regularize(np.diag([big, 1.0]), big)
 
 
 def test_pickle_round_trip_keeps_matrix_immutable():
@@ -113,11 +117,16 @@ class TestValidateSpd:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_symmetrization_rejected(self):
-        # every entry is finite, but the half-sum overflows to inf
-        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
+        # the half-sum stays finite, but the eigenvalue 2e308 does not
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
             validate_spd([[1e308, -1e308], [-1e308, 1e308]])
-        with pytest.raises(NonFiniteEntry, match=r"overflow when symmetrized at \(0, 0\)"):
-            validate_spd(np.diag([np.finfo(float).max, 1.0]))
+        big = np.finfo(float).max
+        s = validate_spd(np.diag([big, 1.0]))
+        np.testing.assert_array_equal(s.entries, np.diag([big, 1.0]))
+        assert s.trace == big
+        # finite entries whose trace overflows: the typed error, not a warning
+        with pytest.raises(NonFiniteEntry, match="trace inf is not finite"):
+            validate_spd(np.diag([big, big]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_asymmetry_rejected(self):

@@ -585,6 +585,13 @@ class TestDispatch:
         got = dispatch(MetricSpec("ai"), diag(1.0, 4.0), diag(2.0, 2.0))
         assert got == pytest.approx(0.9802581434685472, rel=1e-10)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    def test_states_hold_only_arrays_and_floats(self, spec):
+        # no SpdMatrix (or other object) rides along in a prepared state
+        state = metrics.KERNELS[spec.kind].prepare(random_spd(np.random.default_rng(14), 4), **spec.params)
+        parts = state if isinstance(state, tuple) else (state,)
+        assert all(isinstance(x, (np.ndarray, float)) for x in parts)
+
 
 class TestSharedProperties:
     """Axioms over random SPD pairs at a spread of matrix orders."""
