@@ -18,18 +18,22 @@ alpha_z     tr((1-a) A + a B) - tr (B^{a/2z} A^{(1-a)/z} B^{a/2z})^z
 The affine-invariant and log-Euclidean distances follow the standard
 Riemannian-geometry formulations; bw is the 2-Wasserstein distance between
 centered Gaussians; alpha_pro and alpha_z are the alpha-Procrustes and
-alpha-z Bures-Wasserstein families. alpha_z is a divergence, not a metric:
-it is generally asymmetric in (A, B).
+alpha-z Bures-Wasserstein families. alpha_z is a divergence, not a metric, and
+asymmetric in (A, B) except at a = 1/2: there, with c = 1/(4z), B^c A^{2c} B^c
+and A^c B^{2c} A^c are M^T M and M M^T for M = A^c B^c, so both directions share
+tr Q, and the linear term is (tr A + tr B) / 2.
 
 bw (and through it alpha_pro) is evaluated in the trace form above, from the
 eigenvalues alone, with a Procrustes-form fallback through an SVD polar factor
 where the subtraction would cancel (see :func:`bures_wasserstein`).
 
 Each :data:`KERNELS` entry splits its kernel into a per-matrix ``prepare``
-step and a ``pair`` step, and records whether it is symmetric: all but alpha_z.
-Every entry point evaluates a pair through :meth:`Kernel.evaluate`, which
-takes a symmetric kernel in one canonical orientation, so k(a, b) and k(b, a)
-are the same bits and a sweep may transpose one direction into the other.
+step and a ``pair`` step, and says, as a predicate of its parameters, whether
+it is symmetric: always, except alpha_z with a != 1/2. :class:`MetricSpec`
+decides that once, and every entry point evaluates a pair through
+:meth:`Kernel.evaluate` with that decision: a symmetric configuration is taken
+in one canonical orientation, so k(a, b) and k(b, a) are the same bits and a
+sweep may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
@@ -38,6 +42,7 @@ dot products of two powers that are prepared once per matrix.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -242,7 +247,7 @@ def _alpha_z_pair(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
 
 
 def alpha_z_bw(a: SpdMatrix, b: SpdMatrix, alpha: float, z: float) -> float:
-    """Alpha-z Bures-Wasserstein divergence. Asymmetric in (A, B).
+    """Alpha-z Bures-Wasserstein divergence. Asymmetric in (A, B) unless alpha = 1/2.
 
     tr((1-a) A + a B) - tr Q with Q = (B^{a/2z} A^{(1-a)/z} B^{a/2z})^z.
     At z = 1, tr Q is evaluated as the Frobenius inner product
@@ -258,13 +263,13 @@ class Kernel(NamedTuple):
     pair: Callable[..., float]  # pair(state_a, state_b, **params) -> float
     # MetricSpec fields passed to both as keywords, each with its range check
     params: dict[str, Callable[[float | None], None]]
-    # pair(a, b) == pair(b, a) mathematically: the sweep computes one direction
-    symmetric: bool
+    # whether pair(a, b) == pair(b, a) mathematically at these params (MetricSpec.symmetric)
+    symmetric: Callable[..., bool] = lambda **params: True
 
-    def evaluate(self, a: SpdMatrix, sa: Any, b: SpdMatrix, sb: Any, params: dict) -> float:
-        """pair on a's and b's states. A symmetric kernel takes the smaller trace first,
-        ties broken by the entries' bytes, so (a, b) and (b, a) give the same bits."""
-        if self.symmetric and (
+    def evaluate(self, a: SpdMatrix, sa, b: SpdMatrix, sb, params: dict, symmetric: bool) -> float:
+        """pair on a's and b's states. If ``symmetric`` (the spec's decision) the smaller trace
+        goes first, ties broken by the entries' bytes, so (a, b) and (b, a) give the same bits."""
+        if symmetric and (
             b.trace < a.trace
             or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
         ):
@@ -277,14 +282,15 @@ class Kernel(NamedTuple):
 # sweep all read it, so adding a kernel adds its two steps and one entry here.
 KERNELS: dict[str, Kernel] = {
     "alpha_z": Kernel(
-        _alpha_z_prepare, _alpha_z_pair, {"alpha": _check_alpha, "z": _check_z}, False
+        _alpha_z_prepare, _alpha_z_pair, {"alpha": _check_alpha, "z": _check_z},
+        lambda alpha, z: alpha == 0.5,
     ),
-    "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}, True),
-    "bw": Kernel(lambda a: (a.trace, a.entries, sym_sqrt(a).entries), _bw_pair, {}, True),
-    "ai": Kernel(_ai_prepare, _ai_pair, {}, True),
-    "log": Kernel(sym_log, _frobenius, {}, True),
-    "pearson": Kernel(_triangle, _pearson_pair, {}, True),
-    "euclid": Kernel(lambda a: a.entries, _frobenius, {}, True),
+    "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}),
+    "bw": Kernel(lambda a: (a.trace, a.entries, sym_sqrt(a).entries), _bw_pair, {}),
+    "ai": Kernel(_ai_prepare, _ai_pair, {}),
+    "log": Kernel(sym_log, _frobenius, {}),
+    "pearson": Kernel(_triangle, _pearson_pair, {}),
+    "euclid": Kernel(lambda a: a.entries, _frobenius, {}),
 }
 
 
@@ -309,10 +315,16 @@ class MetricSpec:
         """The parameters the kernel takes, by field name."""
         return {name: getattr(self, name) for name in KERNELS[self.kind].params}
 
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """The kernel's symmetry at these parameters, decided once for every reader."""
+        return KERNELS[self.kind].symmetric(**self.params)
+
 
 def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
     """The kernel of ``spec`` on (a, b), each prepared afresh, via :meth:`Kernel.evaluate`."""
     if a.n != b.n:
         raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
     record, params = KERNELS[spec.kind], spec.params
-    return record.evaluate(a, record.prepare(a, **params), b, record.prepare(b, **params), params)
+    sa, sb = record.prepare(a, **params), record.prepare(b, **params)
+    return record.evaluate(a, sa, b, sb, params, spec.symmetric)

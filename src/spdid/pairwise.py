@@ -6,10 +6,12 @@ that is never written again. The sweep then computes each cell from two
 states, serially in row order.
 
 Each cell is one :meth:`spdid.metrics.Kernel.evaluate` call, bit for bit what
-``dispatch`` gives. For a symmetric kernel :func:`both_directions` computes one
-direction and transposes it; the kernel's canonical orientation makes that
-transpose bitwise equal to computing the other direction. alpha_z is swept
-both ways over the same states, which hold both sides' powers.
+``dispatch`` gives. Where the spec is symmetric (``MetricSpec.symmetric``:
+every kernel, except alpha_z with alpha != 1/2) :func:`both_directions`
+computes one direction and transposes it; the canonical orientation makes that
+transpose bitwise equal to computing the other direction. alpha_z with
+alpha != 1/2 is swept both ways over the same states, which hold both sides'
+powers.
 """
 
 from __future__ import annotations
@@ -70,12 +72,12 @@ def _sweep(spec: MetricSpec, probe, gallery) -> DistanceMatrix:
     """Every probe x gallery cell in row order. Fails fast on the first kernel
     error, annotated with its row, column and labels."""
     (p_mats, p_labels, p_states), (g_mats, g_labels, g_states) = probe, gallery
-    record, params = KERNELS[spec.kind], spec.params
+    record, params, symmetric = KERNELS[spec.kind], spec.params, spec.symmetric
     values = np.empty((len(p_mats), len(g_mats)))
     for i, (a, sa) in enumerate(zip(p_mats, p_states)):
         for j, (b, sb) in enumerate(zip(g_mats, g_states)):
             try:
-                values[i, j] = record.evaluate(a, sa, b, sb, params)
+                values[i, j] = record.evaluate(a, sa, b, sb, params, symmetric)
             except SpdError as exc:
                 raise type(exc)(
                     f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"
@@ -109,14 +111,15 @@ def both_directions(
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
     """(set1 -> set2, set2 -> set1) cross matrices, each matrix prepared once.
 
-    For a symmetric kernel the second is the transpose of the first, bit for
-    bit equal to ``cross_distances(set2, set1, ...)``. The alpha_z divergence
-    is asymmetric, so it is computed in both directions. ``workers`` must be
-    >= 1 and changes nothing, as in :func:`cross_distances`.
+    Where ``spec.symmetric`` the second is the transpose of the first, bit for
+    bit equal to ``cross_distances(set2, set1, ...)``; that covers alpha_z at
+    alpha = 1/2. Otherwise (alpha_z with alpha != 1/2) it is computed in the
+    other direction. ``workers`` must be >= 1 and changes nothing, as in
+    :func:`cross_distances`.
     """
     side1, side2 = _prepare(set1, set2, spec, labels1, labels2, workers)
     d12 = _sweep(spec, side1, side2)
-    if KERNELS[spec.kind].symmetric:
+    if spec.symmetric:
         d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
     else:
         d21 = _sweep(spec, side2, side1)

@@ -297,6 +297,50 @@ class TestAlphaZ:
             0.5 * bures_wasserstein(a, b) ** 2, rel=1e-9
         )
 
+    @settings(max_examples=100, deadline=None)
+    @example(seed=0, n=4, log_cond=6.0, log_scale=0.0, z=0.5)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        log_cond=st.floats(0.0, 6.0),
+        log_scale=st.floats(-3.0, 3.0),
+        z=st.floats(0.5, 1.0),
+    )
+    def test_half_alpha_symmetric_before_orientation(self, seed, n, log_cond, log_scale, z):
+        # the pair step taken both ways, without Kernel.evaluate's canonical orientation,
+        # agrees to 1e-9 of tr A + tr B (about 4e-11 is seen at z = 1/2, condition 1e6)
+        rng = np.random.default_rng(seed)
+        a = _spd_with_condition(rng, n, log_cond, log_scale)
+        b = _spd_with_condition(rng, n, log_cond, log_scale)
+        sa, sb = (metrics._alpha_z_prepare(m, 0.5, z) for m in (a, b))
+        d_ab, d_ba = metrics._alpha_z_pair(sa, sb, 0.5, z), metrics._alpha_z_pair(sb, sa, 0.5, z)
+        assert abs(d_ab - d_ba) <= 1e-9 * (a.trace + b.trace)
+
+    def test_half_alpha_symmetric_mpmath(self):
+        # a non-commuting 2x2 pair at 50 digits: D(A||B) = D(B||A) at alpha = 1/2
+        mpmath = pytest.importorskip("mpmath")
+        a_rows, b_rows, z = [[2, 1], [1, 3]], [[5, -2], [-2, 1]], mpmath.mpf("0.8")
+        with mpmath.workdps(50):
+
+            def power(m, p):
+                lam, q = mpmath.eigsy(m)
+                return q * mpmath.diag([x**p for x in lam]) * q.T
+
+            def divergence(x, y):
+                c = 1 / (4 * z)
+                inner = power(y, c) * power(x, 2 * c) * power(y, c)
+                lam, _ = mpmath.eigsy((inner + inner.T) / 2)
+                trace = sum(x[i, i] + y[i, i] for i in range(2)) / 2
+                return trace - sum(v**z for v in lam)
+
+            ma, mb = mpmath.matrix(a_rows), mpmath.matrix(b_rows)
+            assert mpmath.mnorm(ma * mb - mb * ma, 1) > 1
+            d_ab, d_ba = divergence(ma, mb), divergence(mb, ma)
+            assert abs(d_ab - d_ba) < mpmath.mpf(10) ** -40
+        a, b = spd(a_rows), spd(b_rows)
+        assert alpha_z_bw(a, b, 0.5, 0.8) == alpha_z_bw(b, a, 0.5, 0.8)
+        assert alpha_z_bw(a, b, 0.5, 0.8) == pytest.approx(float(d_ab), rel=1e-12)
+
     def test_warning_outside_guaranteed_region(self):
         a = spd(np.eye(2))
         with pytest.warns(UserWarning):
@@ -450,7 +494,10 @@ SYMMETRIC_SPECS = [
     MetricSpec("bw"),
     MetricSpec("alpha_pro", alpha=0.3),
 ]
-ALL_SPECS = SYMMETRIC_SPECS + [MetricSpec("alpha_z", 0.99, 1.0), MetricSpec("alpha_z", 0.5, 0.8)]
+# alpha_z at alpha = 1/2 is symmetric too, but a divergence: no triangle inequality
+HALF_ALPHA_Z_SPECS = [MetricSpec("alpha_z", 0.5, 0.8), MetricSpec("alpha_z", 0.5, 1.0)]
+SWAPPABLE_SPECS = SYMMETRIC_SPECS + HALF_ALPHA_Z_SPECS
+ALL_SPECS = SWAPPABLE_SPECS + [MetricSpec("alpha_z", 0.99, 1.0)]
 
 
 def spec_id(s):
@@ -492,10 +539,12 @@ class TestCanonicalOrientation:
     """dispatch gives the same bits for (a, b) and (b, a)."""
 
     def test_symmetric_flag(self):
-        assert [k for k, rec in metrics.KERNELS.items() if not rec.symmetric] == ["alpha_z"]
+        # decided per spec from the kernel's parameters: alpha_z only at alpha = 1/2
+        assert [s for s in ALL_SPECS if not s.symmetric] == [MetricSpec("alpha_z", 0.99, 1.0)]
         assert sorted(s.kind for s in SYMMETRIC_SPECS) == sorted(
-            k for k, rec in metrics.KERNELS.items() if rec.symmetric
+            k for k in metrics.KERNELS if MetricSpec(k, 0.3, 0.8).symmetric
         )
+        assert all(s.symmetric for s in SWAPPABLE_SPECS)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -508,14 +557,14 @@ class TestCanonicalOrientation:
         rng = np.random.default_rng(seed)
         a = _spd_with_condition(rng, n, log_cond, log_scale)
         b = _spd_with_condition(rng, n, log_cond, log_scale)
-        for spec in SYMMETRIC_SPECS:
-            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
+        for spec in SWAPPABLE_SPECS:
+            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
 
     def test_equal_traces_ordered_by_entries(self):
         a, b = EQUAL_TRACES
         assert a.trace == b.trace
-        for spec in SYMMETRIC_SPECS:
-            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec.kind
+        for spec in SWAPPABLE_SPECS:
+            assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
     def test_every_entry_point_gives_one_value(self, spec):
@@ -532,7 +581,7 @@ class TestCanonicalOrientation:
                 cross_distances([a], [b], spec, workers=2).values[0, 0],
                 both_directions([b], [a], spec)[1].values[0, 0],
             ]
-            if metrics.KERNELS[spec.kind].symmetric:
+            if spec.symmetric:
                 values.append(public(b, a, **spec.params))
             assert len({float(v).hex() for v in values}) == 1, (k, values)
 

@@ -61,6 +61,18 @@ def test_both_directions_symmetric_metric_transposes(kind, alpha):
     assert (d21.probe_labels, d21.gallery_labels) == (("x", "y", "z"), ("a", "b", "c"))
 
 
+@pytest.mark.parametrize("z", [0.8, 1.0])
+def test_both_directions_half_alpha_z_transposes(z):
+    # alpha_z is symmetric at alpha = 1/2, so D21 is D12's transpose, bit for bit
+    rng = np.random.default_rng(2)
+    s1 = spd_pool(rng, 4, 3)
+    s2 = spd_pool(rng, 4, 3)
+    spec = MetricSpec("alpha_z", 0.5, z)
+    d12, d21 = both_directions(s1, s2, spec)
+    np.testing.assert_array_equal(d21.values, d12.values.T)
+    np.testing.assert_array_equal(cross_distances(s2, s1, spec).values, d21.values)
+
+
 def test_both_directions_alpha_z_not_transpose():
     rng = np.random.default_rng(2)
     s1 = spd_pool(rng, 4, 3)
@@ -103,7 +115,7 @@ def test_worker_count_never_changes_bits(kind, alpha, z):
 def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
     # (named for the thread pool the sweep no longer has) every matrix is
     # prepared exactly once, all before the first pair, so `pair` only reads
-    # states; alpha_z sweeps both directions over the same states
+    # states; alpha_z with alpha != 1/2 sweeps both directions over the same states
     from spdid import metrics
 
     rng = np.random.default_rng(7)
@@ -127,7 +139,7 @@ def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
     first = events.index("pair")
     assert sorted(events[:first]) == sorted(id(m) for m in set1 + set2)
     cells = len(set1) * len(set2)
-    assert events[first:] == ["pair"] * (cells if record.symmetric else 2 * cells)
+    assert events[first:] == ["pair"] * (cells if spec.symmetric else 2 * cells)
     for d, e in zip(got, expected):
         np.testing.assert_array_equal(d.values, e.values)
 
