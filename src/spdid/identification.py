@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pairwise import DistanceMatrix
-from .core import LabelMismatch, NotSquare
+from .core import InvalidParameter, LabelMismatch, NotSquare
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class NearestMatch:
 
 
 def _check_square_labels(d: DistanceMatrix) -> None:
+    if not d.probe_labels:
+        raise InvalidParameter("distance matrix is empty: there is nothing to score")
     if len(d.probe_labels) != len(d.gallery_labels):
         raise NotSquare(
             f"distance matrix is {len(d.probe_labels)}x{len(d.gallery_labels)}, not square"

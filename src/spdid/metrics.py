@@ -43,6 +43,7 @@ dot products of two powers that are prepared once per matrix.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -140,10 +141,11 @@ def _ai_prepare(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
 
 def _ai_pair(sa: tuple, sb: tuple) -> float:
     (_, isq, _, max_a), (b, _, min_b, _) = sa, sb
-    inner = isq @ b @ isq
+    # halved before the symmetrizing sum, which could overflow (as in core.regularize)
+    half = isq @ b @ isq / 2.0
     # By congruence, lambda_min(A^{-1/2} B A^{-1/2}) >= lambda_min(B) / lambda_max(A),
     # so the floor only lifts eigenvalues that round-off pushed below that bound.
-    lam = np.maximum(eigensolve((inner + inner.T) / 2.0), min_b / max_a)
+    lam = np.maximum(eigensolve(half + half.T), min_b / max_a)
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
@@ -160,8 +162,8 @@ _BW_TRACE_FLOOR = 1e-3
 def _bw_pair(sa: tuple, sb: tuple) -> float:
     """bw from two states (trace, matrix, square root); alpha_pro's pair too."""
     (tr_a, _, sq_a), (tr_b, b, sq_b) = sa, sb
-    inner = sq_a @ b @ sq_a
-    inner = (inner + inner.T) / 2.0
+    half = sq_a @ b @ sq_a / 2.0
+    inner = half + half.T
     scale = tr_a + tr_b
     d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(eigensolve(inner), 0.0, None))))
     if d2 >= _BW_TRACE_FLOOR * scale:
@@ -232,8 +234,8 @@ def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
     else:
         # eigenvalues of a product that is PSD up to round-off
-        inner = b_pow @ a_pow @ b_pow
-        lam = eigensolve((inner + inner.T) / 2.0)
+        half = b_pow @ a_pow @ b_pow / 2.0
+        lam = eigensolve(half + half.T)
         if lam[0] < -1e-8 * (1.0 + (tr_a + tr_b)):
             raise NumericalError(
                 f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
@@ -274,7 +276,10 @@ class Kernel(NamedTuple):
             or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
         ):
             sa, sb = sb, sa
-        return self.pair(sa, sb, **params)
+        value = self.pair(sa, sb, **params)
+        if not math.isfinite(value):
+            raise NumericalError(f"distance value {value} is not finite")
+        return value
 
 
 # The one definition of each kernel's name, steps and parameters: MetricSpec

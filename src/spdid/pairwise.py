@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, InvalidParameter, SpdError, SpdMatrix
+from .core import DimensionMismatch, InvalidParameter, ShapeMismatch, SpdError, SpdMatrix
 from .metrics import KERNELS, MetricSpec
 
 
@@ -33,6 +33,11 @@ class DistanceMatrix:
     gallery_labels: tuple[str, ...]
     values: np.ndarray
     metric: MetricSpec
+
+    def __post_init__(self):
+        labels = (len(self.probe_labels), len(self.gallery_labels))
+        if np.shape(self.values) != labels:
+            raise ShapeMismatch(f"values of shape {np.shape(self.values)} do not fit {labels} labels")
 
 
 def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):

@@ -1,11 +1,55 @@
-"""Shared helpers for the test suite: random SPD generators, oracles, CSV reader."""
+"""Shared helpers for the test suite: the kernel table, random SPD generators, CSV reader."""
 
 import csv
+import functools
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+import spdid
 from spdid import DistanceMatrix, MetricSpec, SpdMatrix, load_matrix, validate_spd
+
+
+class Kind(NamedTuple):
+    """A kernel as the suites see it: its public function, the parameters they sweep it
+    at, as MetricSpec's (alpha, z), and the facts about it that the library does not state."""
+
+    public: Callable[..., float]
+    params: tuple[tuple, ...] = ((),)
+    triangle: bool = True  # obeys the triangle inequality
+    congruent: bool = True  # invariant under orthogonal congruence A -> Q A Q^T
+    min_order: int = 1
+    eigh: bool = True  # its prepare takes an eigendecomposition
+
+
+# One row per metrics.KERNELS entry; test_kernel_table_complete holds the two to each other.
+KINDS = {
+    "euclid": Kind(spdid.euclid, eigh=False),
+    "pearson": Kind(spdid.pearson_dist, triangle=False, congruent=False, min_order=3, eigh=False),
+    "log": Kind(spdid.log_euclid),
+    "ai": Kind(spdid.affine_invariant),
+    "bw": Kind(spdid.bures_wasserstein),
+    "alpha_pro": Kind(spdid.alpha_procrustes, ((0.3,),)),
+    "alpha_z": Kind(spdid.alpha_z_bw, ((0.5, 0.8), (0.5, 1.0), (0.99, 1.0)), triangle=False),
+}
+
+# Every configuration the suites sweep, in table order.
+CONFIGS = [MetricSpec(kind, *p) for kind, row in KINDS.items() for p in row.params]
+
+
+def spec_id(spec: MetricSpec) -> str:
+    return f"{spec.kind}-{spec.alpha}-{spec.z}"
+
+
+def kernels(n: int, keep: Callable[[MetricSpec], bool] = lambda s: True) -> dict[str, Callable]:
+    """spec_id -> public function, parameters bound, of each configuration defined at
+    matrix order ``n`` for which ``keep`` holds."""
+    return {
+        spec_id(s): functools.partial(KINDS[s.kind].public, **s.params)
+        for s in CONFIGS
+        if n >= KINDS[s.kind].min_order and keep(s)
+    }
 
 
 def random_orthogonal(rng, n):

@@ -18,7 +18,6 @@ from spdid import (
     bures_wasserstein,
     compute_id_rate,
     euclid,
-    eig_sym,
     generate_synthetic_cohort,
     log_euclid,
     pearson_dist,
@@ -30,7 +29,7 @@ from spdid import (
 )
 from spdid.cli import parse_args, run
 from spdid.pairwise import DistanceMatrix
-from support import random_orthogonal, random_spd, read_distance_csv, spd_pool
+from support import KINDS, kernels, random_orthogonal, random_spd, read_distance_csv, spd_pool
 
 ORDERS = (1, 2, 5, 20, 100)
 N_PAIRS = 200
@@ -39,19 +38,6 @@ N_PAIRS = 200
 def _line(name, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     assert ok, name
-
-
-def _symmetric_kernels(n):
-    ks = {
-        "euclid": euclid,
-        "log": log_euclid,
-        "ai": affine_invariant,
-        "bw": bures_wasserstein,
-        "alpha_pro": lambda a, b: alpha_procrustes(a, b, 0.3),
-    }
-    if n >= 3:
-        ks["pearson"] = pearson_dist
-    return ks
 
 
 @pytest.fixture(scope="module")
@@ -98,35 +84,30 @@ def _cli_argv(base, out, metric="alpha_z", workers=None, heatmap=True, n=30, res
 
 def test_criterion_metric_axioms(pools):
     start = time.monotonic()
-    half_alpha_z = {"alpha_z(0.5, 0.8)": lambda a, b: alpha_z_bw(a, b, 0.5, 0.8)}
     for n in ORDERS:
         pool = pools[n]
         rng = np.random.default_rng(2000 + n)
-        kernels = _symmetric_kernels(n)
 
-        # identity of indiscernibles, all seven kernels and alpha_z at alpha = 1/2
+        # identity of indiscernibles, every configuration
         for a in pool:
             tol = 1e-8 * (1 + a.trace)
-            for name, k in {**kernels, **half_alpha_z}.items():
+            for name, k in kernels(n).items():
                 assert k(a, a) <= tol, (name, n)
-            assert alpha_z_bw(a, a, 0.99, 1.0) <= tol
 
-        # symmetry of the six symmetric kernels and of the alpha = 1/2 divergence
+        # symmetry of the symmetric configurations, alpha_z at alpha = 1/2 included
         for _ in range(N_PAIRS):
             i, j = rng.integers(len(pool), size=2)
             a, b = pool[i], pool[j]
-            for name, k in {**kernels, **half_alpha_z}.items():
+            for name, k in kernels(n, lambda s: s.symmetric).items():
                 d_ab, d_ba = k(a, b), k(b, a)
                 assert abs(d_ab - d_ba) <= 1e-10 * max(d_ab, d_ba, 1e-300), (name, n)
 
-        # triangle inequality for the five true metrics
+        # triangle inequality for the true metrics
         for _ in range(N_PAIRS):
             i, j, l = rng.integers(len(pool), size=3)
             a, b, c = pool[i], pool[j], pool[l]
             scale = 1 + a.trace + b.trace + c.trace
-            for name, k in kernels.items():
-                if name == "pearson":
-                    continue
+            for name, k in kernels(n, lambda s: KINDS[s.kind].triangle).items():
                 assert k(a, c) <= k(a, b) + k(b, c) + 1e-8 * scale, (name, n)
 
     elapsed = time.monotonic() - start
@@ -150,15 +131,7 @@ def test_criterion_invariances():
             q = random_orthogonal(rng, n)
             aq = validate_spd(q @ a.entries @ q.T)
             bq = validate_spd(q @ b.entries @ q.T)
-            geo = {
-                "euclid": euclid,
-                "log": log_euclid,
-                "ai": affine_invariant,
-                "bw": bures_wasserstein,
-                "alpha_pro": lambda u, v: alpha_procrustes(u, v, 0.3),
-                "alpha_z": lambda u, v: alpha_z_bw(u, v, 0.99, 1.0),
-            }
-            for name, k in geo.items():
+            for name, k in kernels(n, lambda s: KINDS[s.kind].congruent).items():
                 d0, d1 = k(a, b), k(aq, bq)
                 assert abs(d1 - d0) <= 1e-8 * max(d0, 1e-300), name
 

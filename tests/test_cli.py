@@ -15,7 +15,7 @@ import spdid
 from spdid import MetricSpec, cli, generate_synthetic_cohort, metrics, save_matrix
 from spdid.cli import BLAS_THREAD_VARS, _file_map, parse_args, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
-from support import load_or_exit, read_distance_csv
+from support import KINDS, load_or_exit, read_distance_csv
 
 
 def write_cohort(
@@ -316,6 +316,25 @@ class TestRun:
             "D12.csv", "D21.csv", "report.json",
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_distance_fails_its_combination(self, tmp_path, capsys):
+        # each subject's scans hold 0.9 max at its own diagonal position, so every
+        # off-diagonal euclid distance overflows: the combination fails, writing nothing
+        big = 0.9 * np.finfo(float).max
+        for k, label in enumerate(("s1", "s2", "s3")):
+            (tmp_path / "data" / label).mkdir(parents=True)
+            for scan in ("LR", "RL"):
+                save_matrix(tmp_path / "data" / label / f"REST_{scan}_3.txt", np.diag(np.roll([big, 1, 1], k)))
+        out = tmp_path / "out"
+        argv = base_argv(tmp_path / "data", out, metric="euclid", res=3, n=3, extra=["--emit-heatmap"])
+        assert run(parse_args(argv)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: REST/3: NumericalError: distance value inf is not finite "
+            "[probe 0 (s1) vs gallery 1 (s2)]",
+            "1 combination(s) failed",
+        ]
+        assert not (out / "REST_3").exists()
+
     def test_unwritable_combination_fails_only_itself(self, tmp_path, capsys):
         write_cohort(tmp_path / "data", task="REST")
         write_cohort(tmp_path / "data", task="EMOTION")
@@ -418,6 +437,18 @@ def child_env(**extra):
     src = str(Path(spdid.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_kernel_table_complete():
+    """Every metrics.KERNELS entry has a row in the tests' kernel table (support.KINDS),
+    its public function is exported, and README's Kernels table lists it."""
+    assert set(KINDS) == set(metrics.KERNELS)
+    for kind, row in KINDS.items():
+        assert row.public.__name__ in spdid.__all__, kind
+        assert getattr(spdid, row.public.__name__) is row.public, kind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Kernels\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)`", section, re.M)) == set(KINDS)
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spdid
-from spdid import MetricSpec, SpdMatrix, regularize, validate_spd
+from spdid import MetricSpec, regularize, validate_spd
 from spdid.core import (
     InvalidParameter,
     NonFiniteEntry,
@@ -16,6 +16,7 @@ from spdid.core import (
     ShapeMismatch,
     UnknownMetric,
 )
+from support import KINDS
 
 
 class TestRegularize:
@@ -142,7 +143,7 @@ class TestValidateSpd:
 
 class TestMetricSpec:
     def test_plain_kinds_need_no_parameters(self):
-        for kind in ("bw", "ai", "log", "pearson", "euclid"):
+        for kind in [k for k, row in KINDS.items() if row.params == ((),)]:
             assert MetricSpec(kind).alpha is None
 
     def test_alpha_required_for_alpha_family(self):

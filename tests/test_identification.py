@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spdid import MetricSpec, compute_id_rate, id_report, nearest_match_table
-from spdid.core import LabelMismatch, NotSquare
+from spdid.core import InvalidParameter, LabelMismatch, NotSquare, ShapeMismatch
 from spdid.pairwise import DistanceMatrix
 
 
@@ -69,6 +69,20 @@ class TestComputeIdRate:
     def test_label_mismatch(self):
         with pytest.raises(LabelMismatch):
             compute_id_rate(dm(np.zeros((2, 2)), probe=("a", "b"), gallery=("b", "a")))
+
+    def test_values_must_fit_labels(self):
+        # 3x3 values under 2 labels each: refused when built, before any score
+        with pytest.raises(ShapeMismatch, match=r"\(3, 3\) do not fit \(2, 2\)"):
+            dm(np.zeros((3, 3)), probe=("a", "b"), gallery=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "score",
+        [compute_id_rate, nearest_match_table, lambda d: id_report(d, d)],
+        ids=["compute_id_rate", "nearest_match_table", "id_report"],
+    )
+    def test_empty_matrix_rejected(self, score):
+        with pytest.raises(InvalidParameter, match="empty"):
+            score(dm(np.zeros((0, 0))))
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(17)

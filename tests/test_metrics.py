@@ -34,7 +34,7 @@ from spdid.core import (
     InvalidParameter,
     NumericalError,
 )
-from support import random_orthogonal, random_spd
+from support import CONFIGS, KINDS, kernels, random_orthogonal, random_spd, spec_id
 
 
 def spd(entries):
@@ -176,6 +176,14 @@ class TestAffineInvariant:
             ax = spd((x @ a.entries @ x.T + (x @ a.entries @ x.T).T) / 2)
             bx = spd((x @ b.entries @ x.T + (x @ b.entries @ x.T).T) / 2)
             assert affine_invariant(ax, bx) == pytest.approx(base, rel=1e-6)
+
+    def test_near_max_entries_do_not_overflow(self):
+        # A^{-1/2} B A^{-1/2} holds 0.9 max, so its symmetrizing sum must halve first
+        big = 0.9 * np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = affine_invariant(diag(big, 1.0, 1.0), diag(1.0, big, 1.0))
+        assert got == pytest.approx(np.sqrt(2) * np.log(big), rel=1e-14)
 
     def test_inversion_invariance(self):
         rng = np.random.default_rng(5)
@@ -486,35 +494,6 @@ class TestLinAlgErrorWrapped:
             alpha_z_bw(*pair_then_nan_eigvalsh, 0.5, 0.8)
 
 
-SYMMETRIC_SPECS = [
-    MetricSpec("euclid"),
-    MetricSpec("pearson"),
-    MetricSpec("log"),
-    MetricSpec("ai"),
-    MetricSpec("bw"),
-    MetricSpec("alpha_pro", alpha=0.3),
-]
-# alpha_z at alpha = 1/2 is symmetric too, but a divergence: no triangle inequality
-HALF_ALPHA_Z_SPECS = [MetricSpec("alpha_z", 0.5, 0.8), MetricSpec("alpha_z", 0.5, 1.0)]
-SWAPPABLE_SPECS = SYMMETRIC_SPECS + HALF_ALPHA_Z_SPECS
-ALL_SPECS = SWAPPABLE_SPECS + [MetricSpec("alpha_z", 0.99, 1.0)]
-
-
-def spec_id(s):
-    return f"{s.kind}-{s.alpha}-{s.z}"
-
-
-PUBLIC_KERNELS = {
-    "euclid": euclid,
-    "pearson": pearson_dist,
-    "log": log_euclid,
-    "ai": affine_invariant,
-    "bw": bures_wasserstein,
-    "alpha_pro": alpha_procrustes,
-    "alpha_z": alpha_z_bw,
-}
-
-
 # both traces are exactly 15, so the entries' bytes decide the order
 EQUAL_TRACES = (spd([[4, 1, 0], [1, 5, 2], [0, 2, 6]]), spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]]))
 
@@ -540,11 +519,8 @@ class TestCanonicalOrientation:
 
     def test_symmetric_flag(self):
         # decided per spec from the kernel's parameters: alpha_z only at alpha = 1/2
-        assert [s for s in ALL_SPECS if not s.symmetric] == [MetricSpec("alpha_z", 0.99, 1.0)]
-        assert sorted(s.kind for s in SYMMETRIC_SPECS) == sorted(
-            k for k in metrics.KERNELS if MetricSpec(k, 0.3, 0.8).symmetric
-        )
-        assert all(s.symmetric for s in SWAPPABLE_SPECS)
+        assert [s for s in CONFIGS if not s.symmetric] == [MetricSpec("alpha_z", 0.99, 1.0)]
+        assert [k for k in metrics.KERNELS if not MetricSpec(k, 0.3, 0.8).symmetric] == ["alpha_z"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -557,20 +533,20 @@ class TestCanonicalOrientation:
         rng = np.random.default_rng(seed)
         a = _spd_with_condition(rng, n, log_cond, log_scale)
         b = _spd_with_condition(rng, n, log_cond, log_scale)
-        for spec in SWAPPABLE_SPECS:
+        for spec in [s for s in CONFIGS if s.symmetric]:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
 
     def test_equal_traces_ordered_by_entries(self):
         a, b = EQUAL_TRACES
         assert a.trace == b.trace
-        for spec in SWAPPABLE_SPECS:
+        for spec in [s for s in CONFIGS if s.symmetric]:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
     def test_every_entry_point_gives_one_value(self, spec):
         """The public kernel, dispatch, a pooled sweep cell and a transposed D21 cell
         give the same bits for (a, b); a symmetric kernel's public (b, a) does too."""
-        public = PUBLIC_KERNELS[spec.kind]
+        public = KINDS[spec.kind].public
         pairs = _contract_pairs()
         assert pairs[-2][1].trace < pairs[-2][0].trace
         assert pairs[-1][0].trace == pairs[-1][1].trace
@@ -590,7 +566,7 @@ class TestAxiomsThroughDispatch:
     """Identity and the triangle inequality at condition numbers up to 1e12,
     with the fixed-seed tests' tolerances (TestSharedProperties)."""
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
     @settings(max_examples=60, deadline=None)
     @example(seed=0, n=3, log_cond=11.0, log_scale=0.0)
     @given(
@@ -603,7 +579,7 @@ class TestAxiomsThroughDispatch:
         a = _spd_with_condition(np.random.default_rng(seed), n, log_cond, log_scale)
         assert dispatch(spec, a, a) <= 1e-8 * (1 + a.trace)
 
-    @pytest.mark.parametrize("spec", [s for s in SYMMETRIC_SPECS if s.kind != "pearson"], ids=spec_id)
+    @pytest.mark.parametrize("spec", [s for s in CONFIGS if KINDS[s.kind].triangle], ids=spec_id)
     @settings(max_examples=60, deadline=None)
     @example(seed=0, n=2, log_cond=9.0, log_scale=0.0)
     @given(
@@ -634,7 +610,16 @@ class TestDispatch:
         got = dispatch(MetricSpec("ai"), diag(1.0, 4.0), diag(2.0, 2.0))
         assert got == pytest.approx(0.9802581434685472, rel=1e-10)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+    def test_non_finite_distance_rejected(self):
+        # ||A - B||_F = sqrt(2) * 0.9 max overflows: a typed error, never an inf cell
+        big = 0.9 * np.finfo(float).max
+        a, b = diag(big, 1.0, 1.0), diag(1.0, big, 1.0)
+        with pytest.raises(NumericalError, match="distance value inf is not finite"):
+            euclid(a, b)
+        with pytest.raises(NumericalError, match=r"not finite \[probe 0 \(0\) vs gallery 1 \(1\)\]"):
+            cross_distances([a], [a, b], MetricSpec("euclid"))
+
+    @pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
     def test_states_hold_only_arrays_and_floats(self, spec):
         # no SpdMatrix (or other object) rides along in a prepared state
         state = metrics.KERNELS[spec.kind].prepare(random_spd(np.random.default_rng(14), 4), **spec.params)
@@ -651,29 +636,16 @@ class TestSharedProperties:
         rng = np.random.default_rng(100 + n)
         return [(random_spd(rng, n), random_spd(rng, n)) for _ in range(count)]
 
-    def _kernels(self, n):
-        ks = {
-            "euclid": euclid,
-            "log": log_euclid,
-            "ai": affine_invariant,
-            "bw": bures_wasserstein,
-            "alpha_pro": lambda a, b: alpha_procrustes(a, b, 0.3),
-        }
-        if n >= 3:
-            ks["pearson"] = pearson_dist
-        return ks
-
     def test_identity_of_indiscernibles(self):
         for n in self.ORDERS:
             for a, _ in self._pairs(n, 5):
-                for name, k in self._kernels(n).items():
+                for name, k in kernels(n).items():
                     assert k(a, a) <= 1e-8 * (1 + a.trace), name
-                assert alpha_z_bw(a, a, 0.99, 1.0) <= 1e-8 * (1 + a.trace)
 
     def test_symmetry(self):
         for n in self.ORDERS:
             for a, b in self._pairs(n, 5):
-                for name, k in self._kernels(n).items():
+                for name, k in kernels(n, lambda s: s.symmetric).items():
                     d1, d2 = k(a, b), k(b, a)
                     assert d1 == pytest.approx(d2, rel=1e-10), name
 
@@ -682,9 +654,7 @@ class TestSharedProperties:
             rng = np.random.default_rng(200 + n)
             for _ in range(5):
                 a, b, c = (random_spd(rng, n) for _ in range(3))
-                for name, k in self._kernels(n).items():
-                    if name == "pearson":
-                        continue
+                for name, k in kernels(n, lambda s: KINDS[s.kind].triangle).items():
                     dac, dab, dbc = k(a, c), k(a, b), k(b, c)
                     scale = 1 + a.trace + b.trace + c.trace
                     assert dac <= dab + dbc + 1e-8 * scale, name
@@ -696,15 +666,7 @@ class TestSharedProperties:
         q = random_orthogonal(rng, n)
         aq = spd(q @ a.entries @ q.T)
         bq = spd(q @ b.entries @ q.T)
-        checks = {
-            "euclid": euclid,
-            "log": log_euclid,
-            "ai": affine_invariant,
-            "bw": bures_wasserstein,
-            "alpha_pro": lambda x, y: alpha_procrustes(x, y, 0.3),
-            "alpha_z": lambda x, y: alpha_z_bw(x, y, 0.99, 1.0),
-        }
-        for name, k in checks.items():
+        for name, k in kernels(n, lambda s: KINDS[s.kind].congruent).items():
             assert k(aq, bq) == pytest.approx(k(a, b), rel=1e-8), name
 
     def test_inversion_invariance_log(self):

@@ -7,19 +7,7 @@ import pytest
 import spdid
 from spdid import MetricSpec, both_directions, cross_distances, validate_spd
 from spdid.core import DegenerateVariance, DimensionMismatch, InvalidParameter, NumericalError
-from support import spd_pool
-
-
-KERNEL_CONFIGS = [
-    ("euclid", None, None),
-    ("pearson", None, None),
-    ("log", None, None),
-    ("ai", None, None),
-    ("bw", None, None),
-    ("alpha_pro", 0.3, None),
-    ("alpha_z", 0.99, 1.0),
-    ("alpha_z", 0.5, 0.8),
-]
+from support import CONFIGS, KINDS, spd_pool, spec_id
 
 
 def scalar(v):
@@ -51,12 +39,14 @@ def test_alpha_z_scalar_cross_matrix_asymmetric():
     assert d.values[0, 1] != pytest.approx(d.values[1, 0], rel=1e-3)
 
 
-@pytest.mark.parametrize("kind,alpha", [(k, a) for k, a, _ in KERNEL_CONFIGS if k != "alpha_z"])
-def test_both_directions_symmetric_metric_transposes(kind, alpha):
+@pytest.mark.parametrize(
+    "spec", [s for s in CONFIGS if s.symmetric], ids=lambda s: spec_id(s).removesuffix("-None")
+)
+def test_both_directions_symmetric_metric_transposes(spec):
     rng = np.random.default_rng(1)
     s1 = spd_pool(rng, 4, 3)
     s2 = spd_pool(rng, 4, 3)
-    d12, d21 = both_directions(s1, s2, MetricSpec(kind, alpha), ["a", "b", "c"], ["x", "y", "z"])
+    d12, d21 = both_directions(s1, s2, spec, ["a", "b", "c"], ["x", "y", "z"])
     np.testing.assert_array_equal(d21.values, d12.values.T)
     assert (d21.probe_labels, d21.gallery_labels) == (("x", "y", "z"), ("a", "b", "c"))
 
@@ -81,13 +71,12 @@ def test_both_directions_alpha_z_not_transpose():
     assert np.abs(d21.values - d12.values.T).max() > 1e-6
 
 
-@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
-def test_both_directions_d21_equals_reverse_sweep_bitwise(kind, alpha, z):
+@pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
+def test_both_directions_d21_equals_reverse_sweep_bitwise(spec):
     # a caller that sweeps set2 -> set1 itself gets D21's exact bytes
     rng = np.random.default_rng(6)
     s1 = spd_pool(rng, 5, 4, lo=1e-4, hi=1e4)
     s2 = spd_pool(rng, 5, 3, lo=1e-4, hi=1e4)
-    spec = MetricSpec(kind, alpha, z)
     d21 = both_directions(s1, s2, spec)[1]
     np.testing.assert_array_equal(cross_distances(s2, s1, spec).values, d21.values)
 
@@ -99,20 +88,19 @@ def test_both_directions_singleton_identical():
     assert d21.values[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
-def test_worker_count_never_changes_bits(kind, alpha, z):
+@pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
+def test_worker_count_never_changes_bits(spec):
     rng = np.random.default_rng(3)
     probe = spd_pool(rng, 6, 4)
     gallery = spd_pool(rng, 6, 5)
-    spec = MetricSpec(kind, alpha, z)
     baseline = cross_distances(probe, gallery, spec, workers=1).values
     for w in (2, 8):
         again = cross_distances(probe, gallery, spec, workers=w).values
         np.testing.assert_array_equal(again, baseline)
 
 
-@pytest.mark.parametrize("kind,alpha,z", KERNEL_CONFIGS)
-def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
+@pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
+def test_prepare_once_per_matrix_before_the_pool(monkeypatch, spec):
     # (named for the thread pool the sweep no longer has) every matrix is
     # prepared exactly once, all before the first pair, so `pair` only reads
     # states; alpha_z with alpha != 1/2 sweeps both directions over the same states
@@ -121,10 +109,9 @@ def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
     rng = np.random.default_rng(7)
     set1 = spd_pool(rng, 5, 4)
     set2 = spd_pool(rng, 5, 4)
-    spec = MetricSpec(kind, alpha, z)
     expected = both_directions(set1, set2, spec)
     events = []
-    record = metrics.KERNELS[kind]
+    record = metrics.KERNELS[spec.kind]
 
     def prepare(m, **params):
         events.append(id(m))
@@ -134,7 +121,7 @@ def test_prepare_once_per_matrix_before_the_pool(monkeypatch, kind, alpha, z):
         events.append("pair")
         return record.pair(sa, sb, **params)
 
-    monkeypatch.setitem(metrics.KERNELS, kind, record._replace(prepare=prepare, pair=pair))
+    monkeypatch.setitem(metrics.KERNELS, spec.kind, record._replace(prepare=prepare, pair=pair))
     got = both_directions(set1, set2, spec, workers=2)
     first = events.index("pair")
     assert sorted(events[:first]) == sorted(id(m) for m in set1 + set2)
@@ -157,11 +144,12 @@ def test_source_starts_no_threads():
     assert offenders == []
 
 
-@pytest.mark.parametrize("kind,alpha,z,shared", [
-    *[(kind, alpha, z, False) for kind, alpha, z in KERNEL_CONFIGS],
-    ("alpha_z", 0.5, 0.8, True),
-])
-def test_spectrum_reuse_matches_cold_computation(kind, alpha, z, shared):
+@pytest.mark.parametrize(
+    "spec,shared",
+    [*[(s, False) for s in CONFIGS], (MetricSpec("alpha_z", 0.5, 0.8), True)],
+    ids=lambda v: spec_id(v) if isinstance(v, MetricSpec) else None,
+)
+def test_spectrum_reuse_matches_cold_computation(spec, shared):
     from spdid.metrics import dispatch
 
     rng = np.random.default_rng(4)
@@ -171,7 +159,6 @@ def test_spectrum_reuse_matches_cold_computation(kind, alpha, z, shared):
     else:
         probe = spd_pool(rng, 5, 3)
         gallery = spd_pool(rng, 5, 3)
-    spec = MetricSpec(kind, alpha, z)
     # the non-shared cases leave workers at its default
     workers = {"workers": 4} if shared else {}
     warm = cross_distances(probe, gallery, spec, **workers).values
@@ -220,8 +207,8 @@ def test_kernel_error_annotated_with_position():
     assert str(err.value).endswith(" [probe 0 (p0) vs gallery 0 (g0)]")
 
 
-@pytest.mark.parametrize("kind,alpha,z", [c for c in KERNEL_CONFIGS if c[0] not in ("euclid", "pearson")])
-def test_prepare_error_names_its_matrix(monkeypatch, kind, alpha, z):
+@pytest.mark.parametrize("spec", [s for s in CONFIGS if KINDS[s.kind].eigh], ids=spec_id)
+def test_prepare_error_names_its_matrix(monkeypatch, spec):
     rng = np.random.default_rng(8)
     set1 = spd_pool(rng, 4, 3)
     set2 = spd_pool(rng, 4, 3)
@@ -234,7 +221,7 @@ def test_prepare_error_names_its_matrix(monkeypatch, kind, alpha, z):
 
     monkeypatch.setattr(np.linalg, "eigh", fails_on_set2_2)
     with pytest.raises(NumericalError) as err:
-        both_directions(set1, set2, MetricSpec(kind, alpha, z), ["s1", "s2", "s3"], ["s001", "s002", "s003"])
+        both_directions(set1, set2, spec, ["s1", "s2", "s3"], ["s001", "s002", "s003"])
     assert str(err.value) == "eigensolver did not converge: Eigenvalues did not converge [gallery 2 (s003)]"
 
 
