@@ -37,7 +37,8 @@ sweep may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
-dot products of two powers that are prepared once per matrix.
+dot products of two powers that are prepared once per matrix. Both are
+symmetric, so each keeps only its upper triangle, packed into about n/2 rows.
 """
 
 from __future__ import annotations
@@ -208,8 +209,10 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
 
 
 def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(tr A, A^{(1-a)/z}, A^a at z = 1 else A^{a/2z}): the powers A takes as the
-    first and as the second argument, so one state serves both directions."""
+    """(tr A, A^{(1-a)/z}, A^{a/2z}): the powers A takes as the first and as the second
+    argument, so one state serves both directions. At z = 1 they are A^{1-a} and A^a,
+    each as its upper triangle packed row by row into ceil((n + 1) / 2) rows of n, the
+    first with its off-diagonal doubled."""
     if z < max(alpha, 1.0 - alpha):
         warnings.warn(
             f"alpha_z with z={z} < max(alpha, 1-alpha)={max(alpha, 1.0 - alpha)}: "
@@ -218,17 +221,24 @@ def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.nd
         )
     lam, vec = eig_sym(a)
     probe = spectrum_map(vec, lam ** ((1.0 - alpha) / z))
-    gallery = spectrum_map(vec, lam ** (alpha if z == 1.0 else alpha / (2.0 * z)))
-    return a.trace, probe, gallery
+    if z < 1.0:
+        return a.trace, probe, spectrum_map(vec, lam ** (alpha / (2.0 * z)))
+    # both powers are symmetric, so upper triangles carry <A^{1-a}, B^a>_F; doubling is exact
+    upper = np.triu(np.ones((a.n, a.n), dtype=bool))
+    packed = np.zeros((2, a.n // 2 + 1, a.n))
+    packed[0].flat[: upper.sum()] = np.where(np.eye(a.n, dtype=bool), probe, 2.0 * probe)[upper]
+    packed[1].flat[: upper.sum()] = spectrum_map(vec, lam ** alpha)[upper]
+    return a.trace, packed[0], packed[1]
 
 
 def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
     """The divergence before round-off negatives are clamped."""
     (tr_a, a_pow, _), (tr_b, _, b_pow) = sa, sb
     if z == 1.0:
-        # tr Q = <A^{1-a}, B^a>_F as row dot products summed pairwise: less
-        # round-off than one BLAS dot of the flattened powers, and the same bits
-        # at any BLAS thread count. A trace of a product of SPD matrices is > 0.
+        # tr Q = <A^{1-a}, B^a>_F: the packed upper triangles' row dot products, summed
+        # pairwise (the doubled off-diagonal stands for the lower triangle). Less round-off
+        # than one dot of the flattened triangles, and the same bits at any BLAS thread
+        # count. A trace of a product of SPD matrices is > 0.
         q = float(np.einsum("ij,ij->i", a_pow, b_pow).sum())
         if not (np.isfinite(q) and q > 0.0):
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")

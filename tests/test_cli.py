@@ -361,7 +361,8 @@ class TestRun:
         assert (toy / "D12.csv").read_bytes() == (ref / "D12.csv").read_bytes()
         assert json.loads((toy / "report.json").read_text())["metric"] == {"kind": "toy"}
 
-    @pytest.mark.parametrize("kind,block", [
+    # report.json's metric block per kind, run with --alpha 0.7 --z 0.9
+    METRIC_BLOCKS = [
         ("alpha_z", {"kind": "alpha_z", "alpha": 0.7, "z": 0.9}),
         ("alpha_pro", {"kind": "alpha_pro", "alpha": 0.7}),
         ("bw", {"kind": "bw"}),
@@ -369,7 +370,13 @@ class TestRun:
         ("log", {"kind": "log"}),
         ("pearson", {"kind": "pearson"}),
         ("euclid", {"kind": "euclid"}),
-    ])
+    ]
+
+    def test_metric_blocks_cover_every_kind(self):
+        # one case per kernel in the tests' table, so a new kernel needs its block here too
+        assert sorted(kind for kind, _ in self.METRIC_BLOCKS) == sorted(KINDS)
+
+    @pytest.mark.parametrize("kind,block", METRIC_BLOCKS)
     def test_report_metric_block(self, tmp_path, kind, block):
         write_cohort(tmp_path / "data")
         out = tmp_path / "out"

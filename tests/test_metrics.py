@@ -1,4 +1,5 @@
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -625,6 +626,19 @@ class TestDispatch:
         state = metrics.KERNELS[spec.kind].prepare(random_spd(np.random.default_rng(14), 4), **spec.params)
         parts = state if isinstance(state, tuple) else (state,)
         assert all(isinstance(x, (np.ndarray, float)) for x in parts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    def test_alpha_z_z1_state_packs_upper_triangles(self, n):
+        # each z = 1 power keeps its upper triangle in ceil(n(n+1)/2 / n) zero-padded rows of n
+        rng = np.random.default_rng(15)
+        a, b = random_spd(rng, n), random_spd(rng, n)
+        (_, pa, ga), (_, pb, gb) = (metrics._alpha_z_prepare(m, 0.99, 1.0) for m in (a, b))
+        assert {p.size for p in (pa, ga, pb, gb)} == {math.ceil(n * (n + 1) / 2 / n) * n}
+        # with the linear terms zeroed, the raw divergence is -tr Q: within 1e-14 of tr Q
+        # summed exactly over the full elementwise product of the unpacked powers
+        exact = math.fsum((sym_pow(a, 1.0 - 0.99).entries * sym_pow(b, 0.99).entries).ravel())
+        q = -metrics._alpha_z_raw((0.0, pa, ga), (0.0, pb, gb), 0.99, 1.0)
+        assert abs(q - exact) <= 1e-14 * exact
 
 
 class TestSharedProperties:
