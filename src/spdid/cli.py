@@ -22,6 +22,7 @@ import os
 import sys
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -185,17 +186,12 @@ def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) 
     write_distance_csv(combo_dir / "D12.csv", d12)
     write_distance_csv(combo_dir / "D21.csv", d21)
     payload = {
+        **asdict(report),  # json writes its tuples of hits as lists
         "task": task,
         "resolution": res,
         "metric": {"kind": config.metric.kind, **config.metric.params},
         "tau": config.tau,
-        "n_subjects": report.n_subjects,
         "subjects": list(common),
-        "id12": report.id12,
-        "id21": report.id21,
-        "mean": report.mean,
-        "per_subject_hits12": list(report.per_subject_hits12),
-        "per_subject_hits21": list(report.per_subject_hits21),
         "misidentified12": _misidentified(d12, report.per_subject_hits12),
         "misidentified21": _misidentified(d21, report.per_subject_hits21),
     }

@@ -149,19 +149,23 @@ def check_tau(tau: float) -> None:
         raise InvalidParameter(f"tau must be finite and >= 0, got {tau}")
 
 
+def symmetrize(x: np.ndarray) -> np.ndarray:
+    """x/2 + x^T/2, the package's one symmetrizing sum. Halving first keeps it finite for
+    finite x, where (x + x^T)/2 overflows past the float range; elsewhere the bits agree."""
+    half = x / 2.0
+    return half + half.T
+
+
 def regularize(raw, tau: float) -> SpdMatrix:
-    """Symmetrize, shift by ``tau`` on the diagonal, and validate.
+    """Symmetrize (see :func:`symmetrize`), shift by ``tau`` on the diagonal, and validate.
 
     Returns ``raw/2 + raw.T/2 + tau*I`` as an :class:`SpdMatrix`. The output
     is exactly symmetric by construction. ``tau`` must be finite and >= 0.
     """
     check_tau(tau)
-    a = as_square(raw)
-    # halving first keeps the half-sum of finite entries finite; a tau shift
-    # that overflows to inf is rejected by the check below, not by a warning
+    sym = symmetrize(as_square(raw))
+    # a tau shift that overflows to inf is rejected by the check below, not by a warning
     with np.errstate(over="ignore"):
-        half = a / 2.0
-        sym = half + half.T
         if tau != 0.0:
             idx = np.arange(sym.shape[0])
             sym[idx, idx] += tau

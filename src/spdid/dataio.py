@@ -21,6 +21,7 @@ from .core import (
     SpdMatrix,
     eigensolve,
     regularize,
+    symmetrize,
 )
 from .matfun import spectrum_map
 
@@ -228,7 +229,6 @@ def generate_synthetic_cohort(
             log_base = spectrum_map(q, u)
         for out in (scans1, scans2):
             g = rng.standard_normal((n, n))
-            noise = within_noise * (g + g.T) / 2.0
-            lam, vec = eigensolve(log_base + noise, vectors=True)
+            lam, vec = eigensolve(log_base + within_noise * symmetrize(g), vectors=True)
             out.append(regularize(spectrum_map(vec, np.exp(lam)), 0.0))
     return scans1, scans2, labels

@@ -1,11 +1,11 @@
 """Matrix functions on SPD matrices via symmetric eigendecomposition.
 
 Every function here is a spectral map V diag(f(lambda)) V^T, with the output
-forcibly symmetrized so asymmetry of order machine epsilon cannot accumulate
-through metric pipelines. Nothing is cached: each call solves afresh, and a
-caller that needs several functions of one matrix takes its spectrum once
-with :func:`eig_sym` and maps it with :func:`spectrum_map` (as the kernels'
-``prepare`` steps in :mod:`spdid.metrics` do).
+forcibly symmetrized (by :func:`spdid.core.symmetrize`) so asymmetry of order
+machine epsilon cannot accumulate through metric pipelines. Nothing is cached:
+each call solves afresh, and a caller that needs several functions of one
+matrix takes its spectrum once with :func:`eig_sym` and maps it with
+:func:`spectrum_map` (as the kernels' ``prepare`` steps in :mod:`spdid.metrics` do).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SpdMatrix, eigensolve
+from .core import SpdMatrix, eigensolve, symmetrize
 
 
 class Spectrum(NamedTuple):
@@ -30,10 +30,9 @@ def eig_sym(a: SpdMatrix) -> Spectrum:
 
 
 def spectrum_map(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V^T, exactly symmetrized; the same bits whatever sign each
-    column of V carries, since (-x)(-y) = xy exactly."""
-    m = (vectors * values) @ vectors.T
-    return (m + m.T) / 2.0
+    """V diag(values) V^T, exactly symmetrized by :func:`spdid.core.symmetrize`; the
+    same bits whatever sign each column of V carries, since (-x)(-y) = xy exactly."""
+    return symmetrize((vectors * values) @ vectors.T)
 
 
 def sym_pow(a: SpdMatrix, p: float) -> SpdMatrix:

@@ -30,10 +30,10 @@ where the subtraction would cancel (see :func:`bures_wasserstein`).
 Each :data:`KERNELS` entry splits its kernel into a per-matrix ``prepare``
 step and a ``pair`` step, and says, as a predicate of its parameters, whether
 it is symmetric: always, except alpha_z with a != 1/2. :class:`MetricSpec`
-decides that once, and every entry point evaluates a pair through
-:meth:`Kernel.evaluate` with that decision: a symmetric configuration is taken
-in one canonical orientation, so k(a, b) and k(b, a) are the same bits and a
-sweep may transpose one direction into the other.
+decides that once and binds the entry in :meth:`MetricSpec.prepare` and
+:meth:`MetricSpec.evaluate`, which takes a symmetric configuration in one
+canonical orientation, so k(a, b) and k(b, a) are the same bits and a sweep
+may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
@@ -60,6 +60,7 @@ from .core import (
     UnknownMetric,
     eigensolve,
     polar_factor,
+    symmetrize,
 )
 from .matfun import eig_sym, spectrum_map, sym_log, sym_sqrt
 
@@ -142,11 +143,9 @@ def _ai_prepare(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray, float, float]:
 
 def _ai_pair(sa: tuple, sb: tuple) -> float:
     (_, isq, _, max_a), (b, _, min_b, _) = sa, sb
-    # halved before the symmetrizing sum, which could overflow (as in core.regularize)
-    half = isq @ b @ isq / 2.0
     # By congruence, lambda_min(A^{-1/2} B A^{-1/2}) >= lambda_min(B) / lambda_max(A),
     # so the floor only lifts eigenvalues that round-off pushed below that bound.
-    lam = np.maximum(eigensolve(half + half.T), min_b / max_a)
+    lam = np.maximum(eigensolve(symmetrize(isq @ b @ isq)), min_b / max_a)
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
@@ -163,10 +162,9 @@ _BW_TRACE_FLOOR = 1e-3
 def _bw_pair(sa: tuple, sb: tuple) -> float:
     """bw from two states (trace, matrix, square root); alpha_pro's pair too."""
     (tr_a, _, sq_a), (tr_b, b, sq_b) = sa, sb
-    half = sq_a @ b @ sq_a / 2.0
-    inner = half + half.T
     scale = tr_a + tr_b
-    d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(eigensolve(inner), 0.0, None))))
+    lam = eigensolve(symmetrize(sq_a @ b @ sq_a))
+    d2 = scale - 2.0 * float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
     if d2 >= _BW_TRACE_FLOOR * scale:
         return float(np.sqrt(d2))
     return float(np.linalg.norm(sq_a - sq_b @ polar_factor(sq_b @ sq_a)))
@@ -182,7 +180,7 @@ def bures_wasserstein(a: SpdMatrix, b: SpdMatrix) -> float:
     the distance is recomputed in the equivalent Procrustes form
     ||A^{1/2} - B^{1/2} U||_F, U = P Q^T from the SVD B^{1/2} A^{1/2} = P S Q^T:
     the norm of a difference does not cancel. Swapping A and B gives the
-    same bits: :meth:`Kernel.evaluate` takes the smaller trace as A.
+    same bits: :meth:`MetricSpec.evaluate` takes the smaller trace as A.
     """
     return dispatch(MetricSpec("bw"), a, b)
 
@@ -244,8 +242,7 @@ def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
     else:
         # eigenvalues of a product that is PSD up to round-off
-        half = b_pow @ a_pow @ b_pow / 2.0
-        lam = eigensolve(half + half.T)
+        lam = eigensolve(symmetrize(b_pow @ a_pow @ b_pow))
         if lam[0] < -1e-8 * (1.0 + (tr_a + tr_b)):
             raise NumericalError(
                 f"inner product has eigenvalue {lam[0]:.6g}, far below zero"
@@ -277,19 +274,6 @@ class Kernel(NamedTuple):
     params: dict[str, Callable[[float | None], None]]
     # whether pair(a, b) == pair(b, a) mathematically at these params (MetricSpec.symmetric)
     symmetric: Callable[..., bool] = lambda **params: True
-
-    def evaluate(self, a: SpdMatrix, sa, b: SpdMatrix, sb, params: dict, symmetric: bool) -> float:
-        """pair on a's and b's states. If ``symmetric`` (the spec's decision) the smaller trace
-        goes first, ties broken by the entries' bytes, so (a, b) and (b, a) give the same bits."""
-        if symmetric and (
-            b.trace < a.trace
-            or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
-        ):
-            sa, sb = sb, sa
-        value = self.pair(sa, sb, **params)
-        if not math.isfinite(value):
-            raise NumericalError(f"distance value {value} is not finite")
-        return value
 
 
 # The one definition of each kernel's name, steps and parameters: MetricSpec
@@ -325,7 +309,7 @@ class MetricSpec:
         for name, check in KERNELS[self.kind].params.items():
             check(getattr(self, name))
 
-    @property
+    @functools.cached_property
     def params(self) -> dict[str, float]:
         """The parameters the kernel takes, by field name."""
         return {name: getattr(self, name) for name in KERNELS[self.kind].params}
@@ -335,11 +319,27 @@ class MetricSpec:
         """The kernel's symmetry at these parameters, decided once for every reader."""
         return KERNELS[self.kind].symmetric(**self.params)
 
+    def prepare(self, m: SpdMatrix):
+        """The kernel's state of ``m``; this and :meth:`evaluate` read :data:`KERNELS` per call."""
+        return KERNELS[self.kind].prepare(m, **self.params)
+
+    def evaluate(self, a: SpdMatrix, sa, b: SpdMatrix, sb) -> float:
+        """The kernel's pair step on a's and b's states. If :attr:`symmetric`, the smaller
+        trace goes first, ties broken by the entries' bytes, so (a, b) and (b, a) give the
+        same bits."""
+        if self.symmetric and (
+            b.trace < a.trace
+            or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
+        ):
+            sa, sb = sb, sa
+        value = KERNELS[self.kind].pair(sa, sb, **self.params)
+        if not math.isfinite(value):
+            raise NumericalError(f"distance value {value} is not finite")
+        return value
+
 
 def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
-    """The kernel of ``spec`` on (a, b), each prepared afresh, via :meth:`Kernel.evaluate`."""
+    """The kernel of ``spec`` on (a, b), each prepared afresh, via :meth:`MetricSpec.evaluate`."""
     if a.n != b.n:
         raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
-    record, params = KERNELS[spec.kind], spec.params
-    sa, sb = record.prepare(a, **params), record.prepare(b, **params)
-    return record.evaluate(a, sa, b, sb, params, spec.symmetric)
+    return spec.evaluate(a, spec.prepare(a), b, spec.prepare(b))

@@ -1,12 +1,12 @@
 """Labeled probe x gallery cross-distance matrices.
 
-Every input matrix is prepared once, before any pair runs: its kernel's
-``prepare`` step (see :data:`spdid.metrics.KERNELS`) turns it into a state
-that is never written again. The sweep then computes each cell from two
-states, serially in row order.
+Every input matrix is prepared once, before any pair runs:
+:meth:`spdid.metrics.MetricSpec.prepare` turns it into a state that is never
+written again. The sweep then computes each cell from two states, serially in
+row order.
 
-Each cell is one :meth:`spdid.metrics.Kernel.evaluate` call, bit for bit what
-``dispatch`` gives. Where the spec is symmetric (``MetricSpec.symmetric``:
+Each cell is one :meth:`spdid.metrics.MetricSpec.evaluate` call, bit for bit
+what ``dispatch`` gives. Where the spec is symmetric (``MetricSpec.symmetric``:
 every kernel, except alpha_z with alpha != 1/2) :func:`both_directions`
 computes one direction and transposes it; the canonical orientation makes that
 transpose bitwise equal to computing the other direction. alpha_z with
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatch, InvalidParameter, ShapeMismatch, SpdError, SpdMatrix
-from .metrics import KERNELS, MetricSpec
+from .metrics import MetricSpec
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,12 @@ def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
 
-    prepare, params = KERNELS[spec.kind].prepare, spec.params
     sides = []
     for side, mats, labels in (("probe", probe, probe_labels), ("gallery", gallery, gallery_labels)):
         states = []
         for i, m in enumerate(mats):
             try:
-                states.append(prepare(m, **params))
+                states.append(spec.prepare(m))
             except SpdError as exc:
                 raise type(exc)(f"{exc} [{side} {i} ({labels[i]})]") from exc
         sides.append((mats, tuple(labels), states))
@@ -77,12 +76,11 @@ def _sweep(spec: MetricSpec, probe, gallery) -> DistanceMatrix:
     """Every probe x gallery cell in row order. Fails fast on the first kernel
     error, annotated with its row, column and labels."""
     (p_mats, p_labels, p_states), (g_mats, g_labels, g_states) = probe, gallery
-    record, params, symmetric = KERNELS[spec.kind], spec.params, spec.symmetric
     values = np.empty((len(p_mats), len(g_mats)))
     for i, (a, sa) in enumerate(zip(p_mats, p_states)):
         for j, (b, sb) in enumerate(zip(g_mats, g_states)):
             try:
-                values[i, j] = record.evaluate(a, sa, b, sb, params, symmetric)
+                values[i, j] = spec.evaluate(a, sa, b, sb)
             except SpdError as exc:
                 raise type(exc)(
                     f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"

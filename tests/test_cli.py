@@ -112,6 +112,10 @@ class TestParseArgs:
          "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--tau", "nan"],
         ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
          "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--tau", "inf"],
+        ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
+         "--resolutions", "8", "--metric", "euclid", "--num-subjects", "0"],
+        ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
+         "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--workers", "0"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -196,6 +200,24 @@ class TestRun:
         cfg = parse_args(base_argv(tmp_path / "data", tmp_path / "out"))
         assert run(cfg) == 1
         assert "NoSubjectsFound" in capsys.readouterr().err
+
+    def test_disjoint_scans_fail_only_their_task(self, tmp_path, capsys):
+        # REST's LR and RL scans belong to different subjects; EMOTION's are complete
+        labels = write_cohort(tmp_path / "data", task="REST")
+        write_cohort(tmp_path / "data", task="EMOTION")
+        for k, label in enumerate(labels):
+            scan = "LR" if k < len(labels) // 2 else "RL"
+            (tmp_path / "data" / label / f"REST_{scan}_8.txt").unlink()
+        extra = ["--tasks", "REST", "EMOTION"]  # the last --tasks wins
+        cfg = parse_args(base_argv(tmp_path / "data", tmp_path / "out", "euclid", extra=extra))
+        assert run(cfg) == 1
+        captured = capsys.readouterr()
+        assert (
+            "error: REST/8: SpdError: no subjects present in both scan types for REST/8"
+            in captured.err.splitlines()
+        )
+        assert re.search(r"^EMOTION\s+8\s+6\s+1\.000$", captured.out, re.MULTILINE)
+        assert not (tmp_path / "out" / "REST_8").exists()
 
     def test_failed_combination_does_not_kill_sweep(self, tmp_path, capsys):
         write_cohort(tmp_path / "data", res=8)

@@ -172,3 +172,17 @@ def test_lapack_calls_only_in_core():
         if lapack.search(line)
     ]
     assert offenders == []
+
+
+def test_transpose_sums_only_in_core():
+    """core.symmetrize is the one symmetrizing sum, halved before it adds, so
+    no other module writes x + x.T, which can overflow."""
+    transpose_sum = re.compile(r"\+\s*\w+\.T\b")
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(Path(spdid.__file__).parent.glob("*.py"))
+        if path.name != "core.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if transpose_sum.search(line)
+    ]
+    assert offenders == []

@@ -241,6 +241,11 @@ class TestFindSubjectPaths:
         assert [r.subject_id for r in recs] == ["s01", "s02"]
         assert all(r.resolution == 5 and r.scan == "LR" for r in recs)
 
+    def test_n_zero_rejected(self, tmp_path):
+        make_tree(tmp_path, ["s01"])
+        with pytest.raises(InvalidParameter, match="n must be >= 1"):
+            find_subject_paths(tmp_path, "REST", "LR", [5], 0, TEMPLATE)
+
     def test_n_larger_than_available(self, tmp_path):
         make_tree(tmp_path, ["s01", "s02"])
         recs = find_subject_paths(tmp_path, "REST", "LR", [5], n=99, template=TEMPLATE)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from spdid import eig_sym, sym_inv_sqrt, sym_log, sym_pow, sym_sqrt, validate_spd
@@ -129,3 +131,11 @@ def test_spectrum_map_ignores_eigenvector_signs():
         signs = rng.choice([-1.0, 1.0], size=n)
         for values in (lam, lam**0.5, lam**-0.5, np.log(lam)):
             assert spectrum_map(vec * signs, values).tobytes() == spectrum_map(vec, values).tobytes()
+
+
+def test_sym_pow_of_huge_diagonal_does_not_overflow():
+    # V diag(lambda) V^T is halved before its symmetrizing sum: 0.9 * max doubled is inf
+    a = validate_spd(np.diag([0.9 * np.finfo(float).max, 1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_array_equal(sym_pow(a, 1.0).entries, a.entries)

@@ -316,7 +316,7 @@ class TestAlphaZ:
         z=st.floats(0.5, 1.0),
     )
     def test_half_alpha_symmetric_before_orientation(self, seed, n, log_cond, log_scale, z):
-        # the pair step taken both ways, without Kernel.evaluate's canonical orientation,
+        # the pair step taken both ways, without MetricSpec.evaluate's canonical orientation,
         # agrees to 1e-9 of tr A + tr B (about 4e-11 is seen at z = 1/2, condition 1e6)
         rng = np.random.default_rng(seed)
         a = _spd_with_condition(rng, n, log_cond, log_scale)
@@ -477,6 +477,12 @@ class TestLinAlgErrorWrapped:
         monkeypatch.setattr(np.linalg, "svd", _no_convergence)
         with pytest.raises(NumericalError, match="SVD did not converge"):
             bures_wasserstein(a, a)
+
+    def test_alpha_z_far_negative_eigenvalue(self, monkeypatch):
+        pair = diag(1.0, 2.0), diag(3.0, 4.0)  # validated before the patch
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[0], -1.0))
+        with pytest.raises(NumericalError, match="far below zero"):
+            alpha_z_bw(*pair, 0.5, 0.8)
 
     def test_affine_invariant(self, pair_then_failing_eigvalsh):
         with pytest.raises(NumericalError, match="did not converge"):

@@ -187,6 +187,17 @@ def test_empty_lists_rejected():
         cross_distances([], [validate_spd(np.eye(2))], MetricSpec("euclid"))
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"probe_labels": ["p0"]}, "label lists must match"),
+    ({"gallery_labels": ["g0", "g1", "g2"]}, "label lists must match"),
+    ({"workers": 0}, "workers must be >= 1"),
+], ids=["short_probe_labels", "long_gallery_labels", "workers_0"])
+def test_bad_labels_or_workers_rejected(kwargs, message):
+    mats = [validate_spd(np.eye(2)), validate_spd(2 * np.eye(2))]
+    with pytest.raises(InvalidParameter, match=message):
+        cross_distances(mats, mats, MetricSpec("euclid"), **kwargs)
+
+
 def test_kernel_error_annotated_with_position():
     # constant triangles: each state prepares, the pair then fails
     mats = [validate_spd(2 * np.eye(3)), validate_spd(np.eye(3) + 0.1)]
