@@ -1,16 +1,17 @@
 """The `spd-id` batch command: sweep tasks x resolutions, report ID rates.
 
 For every (task, resolution) combination the tool discovers subjects for both
-scan directions, intersects the subject sets, loads and regularizes the
-matrices (in ``--workers`` spawned processes, each with one BLAS thread, when
-``--workers`` is above 1; this is all the flag sizes), computes the two
-cross-distance matrices serially, and writes D12.csv, D21.csv, report.json,
-and optionally heatmap.png into {out_dir}/{task}_{res}/. A summary table goes
-to stdout. Exit codes: 0 full success, 1 if any combination failed (the rest
-still run), 2 usage error. A combination fails on any SpdError and on any
-OSError, such as an output directory that cannot be created or written. A
-loading process that dies stops the run: it exits 1 with one last ``error:``
-line, and the combinations already written stay.
+scan directions, intersects the subject sets, loads, regularizes and prepares
+each matrix for the kernel at one BLAS thread (in ``--workers`` spawned
+processes, unless ``--workers`` is 1 and every BLAS thread variable is already
+1; this is all the flag sizes), computes the two cross-distance matrices
+serially, and writes D12.csv, D21.csv, report.json, and optionally heatmap.png
+into {out_dir}/{task}_{res}/. A summary table goes to stdout. Exit codes: 0
+full success, 1 if any combination failed (the rest still run), 2 usage error.
+A combination fails on any SpdError and on any OSError, such as an output
+directory that cannot be created or written. A loading process that dies stops
+the run: it exits 1 with one last ``error:`` line, and the combinations already
+written stay.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .core import InvalidParameter, SpdError, UnknownMetric, check_tau
 from .dataio import DEFAULT_TEMPLATE, PathTemplate, find_subject_paths, load_matrix
 from .heatmap import save_heatmap
 from .identification import id_report, nearest_match_table
-from .metrics import KERNELS, MetricSpec
-from .pairwise import DistanceMatrix, both_directions
+from .metrics import KERNELS, MetricSpec, Prepared
+from .pairwise import DistanceMatrix, prepare, sweep
 
-# Environment variables that size BLAS/OpenMP thread pools. Worker processes
+# Environment variables that size BLAS/OpenMP thread pools. Loading processes
 # start with each set to 1, so `--workers` processes use `--workers` CPUs
-# instead of each starting one BLAS thread per CPU.
+# instead of each starting one BLAS thread per CPU, and prepare the same bits.
 BLAS_THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -77,7 +78,8 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--emit-heatmap", action="store_true")
     p.add_argument(
         "--workers", type=int, default=1,
-        help="processes that load the matrix files, each with one BLAS thread (default 1)",
+        help="processes that load and prepare the matrix files, each with one BLAS thread "
+        "(default 1; 1 with every BLAS thread variable at 1 loads in this process)",
     )
     args = p.parse_args(argv)
     try:
@@ -123,25 +125,30 @@ def _misidentified(d: DistanceMatrix, hits: tuple[bool, ...]) -> list[dict]:
 
 @contextmanager
 def _file_map(workers: int):
-    """Yield the ordered ``map`` that loads a combination's matrix files.
+    """Yield the ordered ``map`` that runs a combination's file tasks.
 
-    With one worker it is the builtin ``map``. With more it is the ``map`` of
-    one pool of that many spawned processes, each with one BLAS thread: every
-    BLAS thread variable is 1 while the pool is open, and ``os.environ`` is
-    restored exactly when it closes. Results come back in input order, so the
-    first failure raised is the one a serial loop would raise.
+    It is the builtin ``map`` only with one worker and every BLAS thread
+    variable already 1. Otherwise it is the ``map`` of one pool of ``workers``
+    spawned processes, each with one BLAS thread: every BLAS thread variable is
+    1 while the pool is open, and ``os.environ`` is restored exactly when it
+    closes. So ``prepare`` always runs at one BLAS thread, and ``--workers``
+    cannot change its bits. Results come back in input order, so the first
+    failure raised is the one a serial loop would raise.
     """
-    if workers == 1:
+    # A spawned process still re-running its parent's unguarded main module
+    # (multiprocessing's own bootstrapping flag) cannot start processes, nor
+    # run the command: it inherited every BLAS thread variable at 1. Only a
+    # process that has imported multiprocessing can be one.
+    mp = sys.modules.get("multiprocessing")
+    if mp and getattr(mp.current_process(), "_inheriting", False):
+        raise BrokenExecutor("a loading process cannot open its own pool.")
+    if workers == 1 and all(os.environ.get(name) == "1" for name in BLAS_THREAD_VARS):
         yield map
         return
     # Imported here: at module level they would lengthen every start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # A spawned process still re-running its parent's unguarded main module
-    # (multiprocessing's own bootstrapping flag) cannot start processes.
-    if getattr(multiprocessing.current_process(), "_inheriting", False):
-        raise BrokenExecutor("a loading process cannot open its own pool.")
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
@@ -153,6 +160,12 @@ def _file_map(workers: int):
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+def _load_prepared(spec: MetricSpec, tau: float, res: int, job) -> Prepared:
+    """The file task: load one file, then prepare it. ``job`` is (side, index, label, path)."""
+    side, index, label, path = job
+    return prepare(spec, load_matrix(path, tau=tau, expected_n=res), side, index, label)
 
 
 def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) -> dict:
@@ -175,10 +188,12 @@ def _run_combination(config: argparse.Namespace, task: str, res: int, file_map) 
             file=sys.stderr,
         )
 
-    paths = [by_id[s] for by_id in by_scan for s in common]
-    mats = list(file_map(partial(load_matrix, tau=config.tau, expected_n=res), paths))
-    mats1, mats2 = mats[: len(common)], mats[len(common) :]
-    d12, d21 = both_directions(mats1, mats2, config.metric, common, common)
+    sides = zip(("probe", "gallery"), by_scan)
+    jobs = [(side, i, s, by_id[s]) for side, by_id in sides for i, s in enumerate(common)]
+    items = list(file_map(partial(_load_prepared, config.metric, config.tau, res), jobs))
+    k = len(common)
+    d12, d21 = sweep(config.metric, (common, items[:k]), (common, items[k:]))
+    del items  # the states, freed before the outputs are written
     report = id_report(d12, d21)
 
     combo_dir = Path(config.out_dir) / f"{task}_{res}"
@@ -230,6 +245,7 @@ def run(config: argparse.Namespace) -> int:
         print(
             f"error: {type(broken).__name__}: {broken} Run stopped. A script that calls "
             'spdid.cli with --workers above 1 needs an `if __name__ == "__main__":` guard, '
+            "and so does one with --workers 1 unless every BLAS thread variable is 1, "
             "because each loading process imports the main module.",
             file=sys.stderr,
         )

@@ -211,12 +211,6 @@ def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.nd
     argument, so one state serves both directions. At z = 1 they are A^{1-a} and A^a,
     each as its upper triangle packed row by row into ceil((n + 1) / 2) rows of n, the
     first with its off-diagonal doubled."""
-    if z < max(alpha, 1.0 - alpha):
-        warnings.warn(
-            f"alpha_z with z={z} < max(alpha, 1-alpha)={max(alpha, 1.0 - alpha)}: "
-            "nonnegativity is not guaranteed in this parameter region",
-            stacklevel=2,
-        )
     lam, vec = eig_sym(a)
     probe = spectrum_map(vec, lam ** ((1.0 - alpha) / z))
     if z < 1.0:
@@ -227,6 +221,15 @@ def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.nd
     packed[0].flat[: upper.sum()] = np.where(np.eye(a.n, dtype=bool), probe, 2.0 * probe)[upper]
     packed[1].flat[: upper.sum()] = spectrum_map(vec, lam ** alpha)[upper]
     return a.trace, packed[0], packed[1]
+
+
+def _alpha_z_region(alpha: float, z: float) -> None:
+    if z < max(alpha, 1.0 - alpha):
+        warnings.warn(
+            f"alpha_z with z={z} < max(alpha, 1-alpha)={max(alpha, 1.0 - alpha)}: "
+            "nonnegativity is not guaranteed in this parameter region",
+            stacklevel=4,  # the line that constructs the MetricSpec
+        )
 
 
 def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
@@ -274,6 +277,16 @@ class Kernel(NamedTuple):
     params: dict[str, Callable[[float | None], None]]
     # whether pair(a, b) == pair(b, a) mathematically at these params (MetricSpec.symmetric)
     symmetric: Callable[..., bool] = lambda **params: True
+    # warns, once per MetricSpec, where the kernel's guarantees lapse at these params
+    warn: Callable[..., None] = lambda **params: None
+
+
+class Prepared(NamedTuple):
+    """What a sweep reads of one matrix (:meth:`MetricSpec.prepare`)."""
+
+    trace: float
+    state: Any  # the kernel's prepare step's state
+    entries: np.ndarray | None  # only where a symmetric spec orients pairs by them
 
 
 # The one definition of each kernel's name, steps and parameters: MetricSpec
@@ -282,7 +295,7 @@ class Kernel(NamedTuple):
 KERNELS: dict[str, Kernel] = {
     "alpha_z": Kernel(
         _alpha_z_prepare, _alpha_z_pair, {"alpha": _check_alpha, "z": _check_z},
-        lambda alpha, z: alpha == 0.5,
+        lambda alpha, z: alpha == 0.5, _alpha_z_region,
     ),
     "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}),
     "bw": Kernel(lambda a: (a.trace, a.entries, sym_sqrt(a).entries), _bw_pair, {}),
@@ -308,6 +321,7 @@ class MetricSpec:
             )
         for name, check in KERNELS[self.kind].params.items():
             check(getattr(self, name))
+        KERNELS[self.kind].warn(**self.params)
 
     @functools.cached_property
     def params(self) -> dict[str, float]:
@@ -319,20 +333,23 @@ class MetricSpec:
         """The kernel's symmetry at these parameters, decided once for every reader."""
         return KERNELS[self.kind].symmetric(**self.params)
 
-    def prepare(self, m: SpdMatrix):
-        """The kernel's state of ``m``; this and :meth:`evaluate` read :data:`KERNELS` per call."""
-        return KERNELS[self.kind].prepare(m, **self.params)
+    def prepare(self, m: SpdMatrix) -> Prepared:
+        """m's trace, the kernel's state of m, and m's entries only if :attr:`symmetric`:
+        a state that holds them (euclid's, ai's, bw's) shares the one array. This and
+        :meth:`evaluate` read :data:`KERNELS` per call."""
+        state = KERNELS[self.kind].prepare(m, **self.params)
+        return Prepared(m.trace, state, m.entries if self.symmetric else None)
 
-    def evaluate(self, a: SpdMatrix, sa, b: SpdMatrix, sb) -> float:
-        """The kernel's pair step on a's and b's states. If :attr:`symmetric`, the smaller
-        trace goes first, ties broken by the entries' bytes, so (a, b) and (b, a) give the
-        same bits."""
+    def evaluate(self, a: Prepared, b: Prepared) -> float:
+        """The kernel's pair step on two prepared matrices. If :attr:`symmetric`, the
+        smaller trace goes first, ties broken by the entries' bytes, so (a, b) and (b, a)
+        give the same bits."""
         if self.symmetric and (
             b.trace < a.trace
             or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
         ):
-            sa, sb = sb, sa
-        value = KERNELS[self.kind].pair(sa, sb, **self.params)
+            a, b = b, a
+        value = KERNELS[self.kind].pair(a.state, b.state, **self.params)
         if not math.isfinite(value):
             raise NumericalError(f"distance value {value} is not finite")
         return value
@@ -342,4 +359,4 @@ def dispatch(spec: MetricSpec, a: SpdMatrix, b: SpdMatrix) -> float:
     """The kernel of ``spec`` on (a, b), each prepared afresh, via :meth:`MetricSpec.evaluate`."""
     if a.n != b.n:
         raise DimensionMismatch(f"matrix orders differ: {a.n} vs {b.n}")
-    return spec.evaluate(a, spec.prepare(a), b, spec.prepare(b))
+    return spec.evaluate(spec.prepare(a), spec.prepare(b))

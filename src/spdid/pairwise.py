@@ -1,17 +1,16 @@
 """Labeled probe x gallery cross-distance matrices.
 
-Every input matrix is prepared once, before any pair runs:
-:meth:`spdid.metrics.MetricSpec.prepare` turns it into a state that is never
-written again. The sweep then computes each cell from two states, serially in
-row order.
+Every input matrix is prepared once, before any pair runs, into what the
+sweep reads of it (:class:`spdid.metrics.Prepared`), never written again. The
+CLI prepares in the process that loads each file, and the two functions below
+in the caller; all then sweep each cell from two items, serially in row order.
 
 Each cell is one :meth:`spdid.metrics.MetricSpec.evaluate` call, bit for bit
 what ``dispatch`` gives. Where the spec is symmetric (``MetricSpec.symmetric``:
-every kernel, except alpha_z with alpha != 1/2) :func:`both_directions`
-computes one direction and transposes it; the canonical orientation makes that
-transpose bitwise equal to computing the other direction. alpha_z with
-alpha != 1/2 is swept both ways over the same states, which hold both sides'
-powers.
+every kernel, except alpha_z with alpha != 1/2) :func:`sweep` computes one
+direction and transposes it; the canonical orientation makes that transpose
+bitwise equal to computing the other direction. alpha_z with alpha != 1/2 is
+swept both ways over the same states, which hold both sides' powers.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatch, InvalidParameter, ShapeMismatch, SpdError, SpdMatrix
-from .metrics import MetricSpec
+from .metrics import MetricSpec, Prepared
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,18 @@ class DistanceMatrix:
             raise ShapeMismatch(f"values of shape {np.shape(self.values)} do not fit {labels} labels")
 
 
+def prepare(spec: MetricSpec, m: SpdMatrix, side: str, index: int, label: str) -> Prepared:
+    """``spec.prepare(m)`` for the sweep; an error names m's side, index and label."""
+    try:
+        return spec.prepare(m)
+    except SpdError as exc:
+        raise type(exc)(f"{exc} [{side} {index} ({label})]") from exc
+
+
 def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):
     """Check the inputs, then prepare every matrix once, probe side first.
 
-    Returns (matrices, labels, states) per side. An error names its matrix.
+    Returns the two sides, each (labels, prepared items).
     """
     if not probe or not gallery:
         raise InvalidParameter("probe and gallery lists must be non-empty")
@@ -59,34 +66,44 @@ def _prepare(probe, gallery, spec, probe_labels, gallery_labels, workers):
         raise InvalidParameter("label lists must match the matrix lists in length")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
-
-    sides = []
-    for side, mats, labels in (("probe", probe, probe_labels), ("gallery", gallery, gallery_labels)):
-        states = []
-        for i, m in enumerate(mats):
-            try:
-                states.append(spec.prepare(m))
-            except SpdError as exc:
-                raise type(exc)(f"{exc} [{side} {i} ({labels[i]})]") from exc
-        sides.append((mats, tuple(labels), states))
-    return sides
+    return [
+        (labels, [prepare(spec, m, side, i, labels[i]) for i, m in enumerate(mats)])
+        for side, mats, labels in (("probe", probe, probe_labels), ("gallery", gallery, gallery_labels))
+    ]
 
 
 def _sweep(spec: MetricSpec, probe, gallery) -> DistanceMatrix:
     """Every probe x gallery cell in row order. Fails fast on the first kernel
     error, annotated with its row, column and labels."""
-    (p_mats, p_labels, p_states), (g_mats, g_labels, g_states) = probe, gallery
-    values = np.empty((len(p_mats), len(g_mats)))
-    for i, (a, sa) in enumerate(zip(p_mats, p_states)):
-        for j, (b, sb) in enumerate(zip(g_mats, g_states)):
+    (p_labels, p_items), (g_labels, g_items) = probe, gallery
+    values = np.empty((len(p_items), len(g_items)))
+    for i, a in enumerate(p_items):
+        for j, b in enumerate(g_items):
             try:
-                values[i, j] = spec.evaluate(a, sa, b, sb)
+                values[i, j] = spec.evaluate(a, b)
             except SpdError as exc:
                 raise type(exc)(
                     f"{exc} [probe {i} ({p_labels[i]}) vs gallery {j} ({g_labels[j]})]"
                 ) from exc
     values.setflags(write=False)
-    return DistanceMatrix(p_labels, g_labels, values, spec)
+    return DistanceMatrix(tuple(p_labels), tuple(g_labels), values, spec)
+
+
+def sweep(spec: MetricSpec, side1, side2) -> tuple[DistanceMatrix, DistanceMatrix]:
+    """(side1 -> side2, side2 -> side1) cross matrices over prepared sides.
+
+    Each side is (labels, items), one item per matrix, as :func:`prepare`
+    returns it, all matrices of one order. Where ``spec.symmetric`` the second
+    is the transpose of the first, bit for bit equal to sweeping side2 -> side1;
+    that covers alpha_z at alpha = 1/2. Otherwise (alpha_z with alpha != 1/2)
+    it is swept in the other direction, over the same items.
+    """
+    d12 = _sweep(spec, side1, side2)
+    if spec.symmetric:
+        d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
+    else:
+        d21 = _sweep(spec, side2, side1)
+    return d12, d21
 
 
 def cross_distances(
@@ -112,18 +129,7 @@ def both_directions(
     labels2: Sequence[str] | None = None,
     workers: int = 1,
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
-    """(set1 -> set2, set2 -> set1) cross matrices, each matrix prepared once.
-
-    Where ``spec.symmetric`` the second is the transpose of the first, bit for
-    bit equal to ``cross_distances(set2, set1, ...)``; that covers alpha_z at
-    alpha = 1/2. Otherwise (alpha_z with alpha != 1/2) it is computed in the
-    other direction. ``workers`` must be >= 1 and changes nothing, as in
-    :func:`cross_distances`.
+    """:func:`sweep` of set1 and set2, each matrix prepared once. ``workers``
+    must be >= 1 and changes nothing, as in :func:`cross_distances`.
     """
-    side1, side2 = _prepare(set1, set2, spec, labels1, labels2, workers)
-    d12 = _sweep(spec, side1, side2)
-    if spec.symmetric:
-        d21 = DistanceMatrix(d12.gallery_labels, d12.probe_labels, d12.values.T, spec)
-    else:
-        d21 = _sweep(spec, side2, side1)
-    return d12, d21
+    return sweep(spec, *_prepare(set1, set2, spec, labels1, labels2, workers))

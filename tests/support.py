@@ -8,7 +8,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 import spdid
-from spdid import DistanceMatrix, MetricSpec, SpdMatrix, load_matrix, validate_spd
+from spdid import DistanceMatrix, MetricSpec, SpdMatrix, validate_spd
+from spdid.cli import _load_prepared
 
 
 class Kind(NamedTuple):
@@ -68,14 +69,14 @@ def spd_pool(rng, n, count, lo=1e-2, hi=1e2):
     return [random_spd(rng, n, lo, hi) for _ in range(count)]
 
 
-def load_or_exit(path, **kwargs) -> SpdMatrix:
-    """``load_matrix``, except that the process exits at once on a ``*_5.txt`` path.
+def task_or_exit(spec, tau, res, job):
+    """The CLI's file task, except that the process exits at once on a ``*_5.txt`` path.
 
     Module-level, so a spawned loading process can unpickle it by name.
     """
-    if str(path).endswith("_5.txt"):
+    if str(job[-1]).endswith("_5.txt"):
         os._exit(3)
-    return load_matrix(path, **kwargs)
+    return _load_prepared(spec, tau, res, job)
 
 
 def read_distance_csv(path, metric: MetricSpec) -> DistanceMatrix:

@@ -15,7 +15,7 @@ import spdid
 from spdid import MetricSpec, cli, generate_synthetic_cohort, metrics, save_matrix
 from spdid.cli import BLAS_THREAD_VARS, _file_map, parse_args, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
-from support import KINDS, load_or_exit, read_distance_csv
+from support import KINDS, read_distance_csv, task_or_exit
 
 
 def write_cohort(
@@ -29,6 +29,14 @@ def write_cohort(
         save_matrix(d / f"{task}_LR_{res}.txt", m_lr.entries)
         save_matrix(d / f"{task}_RL_{res}.txt", m_rl.entries)
     return labels
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Every BLAS thread variable at 1, so a --workers 1 run loads and prepares in the
+    calling process, where a test's patches apply."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.setenv(name, "1")
 
 
 def base_argv(base, out, metric="alpha_z", res=8, n=6, extra=()):
@@ -312,6 +320,22 @@ class TestRun:
             seen = list(file_map(os.getenv, BLAS_THREAD_VARS))
         assert seen == ["1"] * len(BLAS_THREAD_VARS)
 
+    def test_one_worker_maps_in_process_only_at_one_blas_thread(self, one_blas_thread):
+        with _file_map(1) as file_map:
+            assert file_map is map
+
+    @pytest.mark.parametrize("unset", BLAS_THREAD_VARS)
+    def test_one_worker_otherwise_opens_one_process(self, one_blas_thread, monkeypatch, unset):
+        # one variable not at 1 is enough: prepare must not run at the caller's BLAS threads
+        monkeypatch.delenv(unset)
+        with _file_map(1) as file_map:
+            assert file_map is not map
+            seen = list(file_map(os.getenv, BLAS_THREAD_VARS))
+            assert len(multiprocessing.active_children()) == 1
+        assert seen == ["1"] * len(BLAS_THREAD_VARS)
+        assert os.getenv(unset) is None
+
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_prepare_failure_fails_only_its_combination(self, tmp_path, capsys, monkeypatch):
         # s003's RL matrix at res 5 validates, then its eigh fails in prepare
         write_cohort(tmp_path / "data", res=8)
@@ -374,6 +398,7 @@ class TestRun:
             "D12.csv", "D21.csv", "report.json",
         ]
 
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_added_kernel_needs_only_a_table_entry(self, tmp_path, monkeypatch):
         monkeypatch.setitem(metrics.KERNELS, "toy", metrics.KERNELS["euclid"])
         write_cohort(tmp_path / "data")
@@ -434,7 +459,7 @@ class TestRun:
         # res 6 never runs, and res 8's outputs stay.
         for res in (8, 5, 6):
             write_cohort(tmp_path / "data", res=res)
-        monkeypatch.setattr(cli, "load_matrix", load_or_exit)
+        monkeypatch.setattr(cli, "_load_prepared", task_or_exit)
         out = tmp_path / "out"
         argv = base_argv(tmp_path / "data", out, extra=["--resolutions", "8", "5", "6", "--workers", "2"])
         before = dict(os.environ)
@@ -500,20 +525,62 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "demo_out" / "REST_100" / "heatmap.png").is_file()
 
 
+def test_region_warning_printed_once_by_the_caller(tmp_path):
+    """alpha_z's parameter-region warning comes from building the spec, in the calling
+    process, so stderr is one warning whatever --workers is."""
+    write_cohort(tmp_path / "data")
+    stderr = {}
+    for workers in ("1", "2"):
+        argv = base_argv(
+            tmp_path / "data", tmp_path / f"out{workers}",
+            extra=["--alpha", "0.3", "--z", "0.5", "--workers", workers],
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "spdid", *argv],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stderr[workers] = proc.stderr
+    assert stderr["1"] == stderr["2"]
+    warned = [ln for ln in stderr["1"].splitlines() if "Warning" in ln]
+    assert len(warned) == 1
+    assert warned[0].startswith(str(Path(cli.__file__)))  # the line that builds the spec
+    assert warned[0].endswith(
+        "UserWarning: alpha_z with z=0.5 < max(alpha, 1-alpha)=0.7: "
+        "nonnegativity is not guaranteed in this parameter region"
+    )
+
+
+def _run_unguarded(tmp_path, workers, env):
+    """Run the CLI from a script without a __main__ guard, in a child interpreter."""
+    write_cohort(tmp_path / "data")
+    argv = base_argv(tmp_path / "data", tmp_path / "out", metric="euclid", extra=["--workers", workers])
+    script = tmp_path / "unguarded.py"
+    script.write_text(f"from spdid.cli import main\nmain({argv!r})\n")
+    return subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_unguarded_script_ends_with_one_error_line(tmp_path):
     """A script that runs the CLI with --workers 2 and no __main__ guard: each
     spawned process re-runs it, refuses to open a pool of its own and prints
     one error line, so no traceback reaches stderr."""
-    write_cohort(tmp_path / "data")
-    argv = base_argv(tmp_path / "data", tmp_path / "out", metric="euclid", extra=["--workers", "2"])
-    script = tmp_path / "unguarded.py"
-    script.write_text(f"from spdid.cli import main\nmain({argv!r})\n")
-    proc = subprocess.run(
-        [sys.executable, str(script)], env=child_env(), capture_output=True, text=True, timeout=120
-    )
+    proc = _run_unguarded(tmp_path, "2", child_env())
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: BrokenProcessPool: ")
+
+
+def test_unguarded_script_at_one_worker_runs_nothing_in_its_loading_process(tmp_path):
+    """With a BLAS thread variable unset, --workers 1 loads in one spawned process. It
+    re-runs the script with every variable at 1, and must stop there, not run the command."""
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREAD_VARS}
+    proc = _run_unguarded(tmp_path, "1", env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: BrokenProcessPool: ")
+    assert proc.stdout == "" and not (tmp_path / "out").exists()
 
 
 ENVIRON_MUTATORS = ("update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__")
@@ -561,8 +628,8 @@ def test_blas_threads_move_only_last_digits(tmp_path):
     """1 against 2 BLAS threads: equal ID reports, distances equal to 1e-12 relative.
 
     The cohort has the within-subject noise and spread of the benchmark's
-    kernels-1t cohort, where alpha_pro misses some subjects. The drift grows
-    with the condition number of the inputs (see the README).
+    kernels-1t cohort, where alpha_pro misses some subjects. Only the sweep
+    runs at the caller's BLAS threads (see the README's Determinism paragraph).
     """
     write_cohort(tmp_path / "data", res=100, n_subjects=8, noise=0.2, spread=1.0)
     for metric in ("alpha_pro", "bw"):

@@ -87,7 +87,7 @@ class TestRegularize:
 
 
 def test_pickle_round_trip_keeps_matrix_immutable():
-    # worker processes send their matrices back pickled
+    # a matrix sent to or from another process is pickled
     rng = np.random.default_rng(11)
     g = rng.standard_normal((6, 6))
     for m in (regularize(2 * np.eye(3), 0.0), regularize(g @ g.T, 1e-3)):

@@ -1,5 +1,6 @@
 import functools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -632,6 +633,23 @@ class TestDispatch:
         state = metrics.KERNELS[spec.kind].prepare(random_spd(np.random.default_rng(14), 4), **spec.params)
         parts = state if isinstance(state, tuple) else (state,)
         assert all(isinstance(x, (np.ndarray, float)) for x in parts)
+
+    def test_asymmetric_prepared_item_holds_no_square_array(self):
+        # alpha_z with alpha != 1/2 orients no pair by entries: its prepared item, what a
+        # loading process sends back, is the trace and the two packed powers
+        n = 20
+        item = MetricSpec("alpha_z", 0.99, 1.0).prepare(random_spd(np.random.default_rng(16), n))
+        assert item.entries is None
+        parts = [item.trace, *item.state]
+        assert all(np.shape(x) != (n, n) for x in parts) and len(parts) == 4
+
+    @pytest.mark.parametrize("kind", ["euclid", "ai", "bw"])
+    def test_prepared_entries_are_the_states_own(self, kind):
+        # the orientation tie-break reads the array the state holds, so pickle sends it once
+        item = MetricSpec(kind).prepare(random_spd(np.random.default_rng(17), 6))
+        state = item.state if isinstance(item.state, tuple) else (item.state,)
+        assert any(x is item.entries for x in state)
+        assert len(pickle.dumps(item)) < len(pickle.dumps(item.state)) + item.entries.nbytes
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
     def test_alpha_z_z1_state_packs_upper_triangles(self, n):
