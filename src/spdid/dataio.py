@@ -40,6 +40,13 @@ class PathTemplate:
         for ph in _REQUIRED_PLACEHOLDERS:
             if ph not in self.pattern:
                 raise InvalidParameter(f"path template must contain {ph}: {self.pattern!r}")
+        try:  # e.g. an unknown field, a positional {}, an unbalanced brace, {res[0]}
+            self._expand(base="base", task="task", scan="scan", res=1)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameter(f"bad path template {self.pattern!r}: {exc!r}") from None
+
+    def _expand(self, **fields) -> list[str]:  # split first: a field holding "{subject}" stays
+        return [part.format(**fields) for part in self.pattern.split("{subject}")]
 
 
 @dataclass(frozen=True)
@@ -86,12 +93,7 @@ def find_subject_paths(
     records: list[SubjectRecord] = []
     tried_globs = []
     for res in resolutions:
-        # Split before formatting, so a base, task or scan containing the
-        # text "{subject}" stays literal.
-        parts = [
-            part.format(base=base, task=task, scan=scan, res=res)
-            for part in template.pattern.split("{subject}")
-        ]
+        parts = template._expand(base=base, task=task, scan=scan, res=res)
         glob_pattern = "*".join(glob.escape(part) for part in parts)
         tried_globs.append(glob_pattern)
         rx = _subject_regex(parts)

@@ -31,9 +31,9 @@ Each :data:`KERNELS` entry splits its kernel into a per-matrix ``prepare``
 step and a ``pair`` step, and says, as a predicate of its parameters, whether
 it is symmetric: always, except alpha_z with a != 1/2. :class:`MetricSpec`
 decides that once and binds the entry in :meth:`MetricSpec.prepare` and
-:meth:`MetricSpec.evaluate`, which takes a symmetric configuration in one
-canonical orientation, so k(a, b) and k(b, a) are the same bits and a sweep
-may transpose one direction into the other.
+:meth:`MetricSpec.evaluate`, which orients a symmetric pair canonically (smaller
+trace first, exact ties by the states' bytes), so k(a, b) and k(b, a) are the
+same bits and a sweep may transpose one direction into the other.
 
 At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
 tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
@@ -282,11 +282,10 @@ class Kernel(NamedTuple):
 
 
 class Prepared(NamedTuple):
-    """What a sweep reads of one matrix (:meth:`MetricSpec.prepare`)."""
+    """One matrix's trace and kernel state: all a sweep reads, and all a loading process returns."""
 
     trace: float
     state: Any  # the kernel's prepare step's state
-    entries: np.ndarray | None  # only where a symmetric spec orients pairs by them
 
 
 # The one definition of each kernel's name, steps and parameters: MetricSpec
@@ -304,6 +303,10 @@ KERNELS: dict[str, Kernel] = {
     "pearson": Kernel(_triangle, _pearson_pair, {}),
     "euclid": Kernel(lambda a: a.entries, _frobenius, {}),
 }
+
+
+def _state_bytes(item: Prepared) -> bytes:  # an array state's parts are its rows
+    return b"".join(np.asarray(x).tobytes() for x in item.state)
 
 
 @dataclass(frozen=True)
@@ -334,19 +337,14 @@ class MetricSpec:
         return KERNELS[self.kind].symmetric(**self.params)
 
     def prepare(self, m: SpdMatrix) -> Prepared:
-        """m's trace, the kernel's state of m, and m's entries only if :attr:`symmetric`:
-        a state that holds them (euclid's, ai's, bw's) shares the one array. This and
-        :meth:`evaluate` read :data:`KERNELS` per call."""
-        state = KERNELS[self.kind].prepare(m, **self.params)
-        return Prepared(m.trace, state, m.entries if self.symmetric else None)
+        """m's trace and the kernel's state of m; this and evaluate read KERNELS per call."""
+        return Prepared(m.trace, KERNELS[self.kind].prepare(m, **self.params))
 
     def evaluate(self, a: Prepared, b: Prepared) -> float:
-        """The kernel's pair step on two prepared matrices. If :attr:`symmetric`, the
-        smaller trace goes first, ties broken by the entries' bytes, so (a, b) and (b, a)
-        give the same bits."""
+        """The kernel's pair step on two items. If :attr:`symmetric`, the smaller trace goes
+        first, an exact tie by the states' bytes, so (a, b) and (b, a) give the same bits."""
         if self.symmetric and (
-            b.trace < a.trace
-            or (b.trace == a.trace and b.entries.tobytes() < a.entries.tobytes())
+            b.trace < a.trace or (b.trace == a.trace and _state_bytes(b) < _state_bytes(a))
         ):
             a, b = b, a
         value = KERNELS[self.kind].pair(a.state, b.state, **self.params)

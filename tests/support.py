@@ -53,6 +53,18 @@ def kernels(n: int, keep: Callable[[MetricSpec], bool] = lambda s: True) -> dict
     }
 
 
+# Path templates with all four required placeholders that still cannot be formatted:
+# an unknown field, a positional {}, an unbalanced brace, an index into the integer
+# resolution and an attribute a string lacks.
+MALFORMED_TEMPLATES = (
+    "{base}/{subject}/{task}_{scan}_{res}_{foo}.txt",
+    "{base}/{subject}/{task}_{scan}_{res}_{}.txt",
+    "{base}/{subject}/{task}_{scan}_{res}_{.txt",
+    "{base}/{subject}/{task}_{scan}_{res}_{res[0]}.txt",
+    "{base}/{subject}/{task}_{scan}_{res}_{scan.x}.txt",
+)
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.where(np.diag(r) < 0, -1.0, 1.0)

@@ -15,7 +15,7 @@ import spdid
 from spdid import MetricSpec, cli, generate_synthetic_cohort, metrics, save_matrix
 from spdid.cli import BLAS_THREAD_VARS, _file_map, parse_args, run, write_distance_csv
 from spdid.pairwise import DistanceMatrix
-from support import KINDS, read_distance_csv, task_or_exit
+from support import KINDS, MALFORMED_TEMPLATES, read_distance_csv, task_or_exit
 
 
 def write_cohort(
@@ -124,11 +124,17 @@ class TestParseArgs:
          "--resolutions", "8", "--metric", "euclid", "--num-subjects", "0"],
         ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL",
          "--resolutions", "8", "--metric", "euclid", "--num-subjects", "5", "--workers", "0"],
+        *(
+            ["--base-path", "b", "--tasks", "T", "--scan-types", "LR", "RL", "--resolutions", "8",
+             "--metric", "euclid", "--num-subjects", "5", "--path-template", template]
+            for template in MALFORMED_TEMPLATES
+        ),
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
             parse_args(argv)
         assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: spd-id")
 
 
 class TestCsvRoundTrip:

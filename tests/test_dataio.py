@@ -25,6 +25,7 @@ from spdid.core import (
     ShapeMismatch,
     SpdError,
 )
+from support import MALFORMED_TEMPLATES
 
 TEMPLATE = PathTemplate("{base}/{subject}/{task}_{scan}_{res}.txt")
 
@@ -304,6 +305,13 @@ class TestFindSubjectPaths:
     def test_template_requires_placeholders(self):
         with pytest.raises(InvalidParameter):
             PathTemplate("{base}/{subject}/{task}.txt")
+
+    def test_template_that_cannot_format_rejected(self):
+        # each is rejected when the template is built, not with a KeyError, IndexError or
+        # ValueError from the search that formats it
+        for pattern in MALFORMED_TEMPLATES:
+            with pytest.raises(InvalidParameter, match="bad path template"):
+                PathTemplate(pattern)
 
 
 class TestSyntheticCohort:

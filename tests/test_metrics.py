@@ -502,7 +502,7 @@ class TestLinAlgErrorWrapped:
             alpha_z_bw(*pair_then_nan_eigvalsh, 0.5, 0.8)
 
 
-# both traces are exactly 15, so the entries' bytes decide the order
+# both traces are exactly 15, so the states' bytes decide the order
 EQUAL_TRACES = (spd([[4, 1, 0], [1, 5, 2], [0, 2, 6]]), spd([[6, 2, 1], [2, 4, 0], [1, 0, 5]]))
 
 
@@ -520,6 +520,13 @@ def _outcome(spec, a, b):
         return dispatch(spec, a, b).hex()
     except NumericalError as exc:
         return type(exc), str(exc)
+
+
+# The symmetric configurations whose pair step is bitwise symmetric: negation and products
+# commute exactly, and doubling alpha_z's z = 1 probe power is exact.
+SWAP_EXACT = [
+    MetricSpec("euclid"), MetricSpec("pearson"), MetricSpec("log"), MetricSpec("alpha_z", 0.5, 1.0)
+]
 
 
 class TestCanonicalOrientation:
@@ -544,11 +551,39 @@ class TestCanonicalOrientation:
         for spec in [s for s in CONFIGS if s.symmetric]:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
 
-    def test_equal_traces_ordered_by_entries(self):
+    def test_equal_traces_ordered_by_state(self):
         a, b = EQUAL_TRACES
         assert a.trace == b.trace
         for spec in [s for s in CONFIGS if s.symmetric]:
             assert _outcome(spec, a, b) == _outcome(spec, b, a), spec_id(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        log_cond=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+        equal_traces=st.booleans(),
+    )
+    def test_pair_steps_that_need_no_orientation(self, seed, n, log_cond, log_scale, equal_traces):
+        # These pair steps give the same bits both ways round with no orientation applied, so
+        # how an exact trace tie is ordered cannot move any of their bits.
+        # An equal-trace b keeps a's diagonal and shrinks its off-diagonal: t A + (1 - t) diag(A)
+        # is SPD, and the ai and bw pair steps give other bits when it is swapped with a.
+        rng = np.random.default_rng(seed)
+        a = _spd_with_condition(rng, n, log_cond, log_scale)
+        if equal_traces:
+            entries = a.entries * rng.uniform(0.0, 1.0)
+            np.fill_diagonal(entries, a.entries.diagonal())
+            b = validate_spd(entries)
+            assert b.trace == a.trace
+        else:
+            b = _spd_with_condition(rng, n, log_cond, log_scale)
+        for spec in SWAP_EXACT:
+            kernel = metrics.KERNELS[spec.kind]
+            sa, sb = (kernel.prepare(m, **spec.params) for m in (a, b))
+            ab, ba = kernel.pair(sa, sb, **spec.params), kernel.pair(sb, sa, **spec.params)
+            assert ab.hex() == ba.hex(), spec_id(spec)
 
     @pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
     def test_every_entry_point_gives_one_value(self, spec):
@@ -634,22 +669,14 @@ class TestDispatch:
         parts = state if isinstance(state, tuple) else (state,)
         assert all(isinstance(x, (np.ndarray, float)) for x in parts)
 
-    def test_asymmetric_prepared_item_holds_no_square_array(self):
-        # alpha_z with alpha != 1/2 orients no pair by entries: its prepared item, what a
-        # loading process sends back, is the trace and the two packed powers
-        n = 20
-        item = MetricSpec("alpha_z", 0.99, 1.0).prepare(random_spd(np.random.default_rng(16), n))
-        assert item.entries is None
-        parts = [item.trace, *item.state]
-        assert all(np.shape(x) != (n, n) for x in parts) and len(parts) == 4
-
-    @pytest.mark.parametrize("kind", ["euclid", "ai", "bw"])
-    def test_prepared_entries_are_the_states_own(self, kind):
-        # the orientation tie-break reads the array the state holds, so pickle sends it once
-        item = MetricSpec(kind).prepare(random_spd(np.random.default_rng(17), 6))
-        state = item.state if isinstance(item.state, tuple) else (item.state,)
-        assert any(x is item.entries for x in state)
-        assert len(pickle.dumps(item)) < len(pickle.dumps(item.state)) + item.entries.nbytes
+    @pytest.mark.parametrize("spec", CONFIGS, ids=spec_id)
+    def test_prepared_item_is_trace_and_state(self, spec):
+        # what a loading process sends back: pickled, nothing but the trace, the state and
+        # the reference to the class
+        item = spec.prepare(random_spd(np.random.default_rng(16), 20))
+        assert item._fields == ("trace", "state")
+        bare = len(pickle.dumps((item.trace, item.state))) + len(pickle.dumps(metrics.Prepared))
+        assert len(pickle.dumps(item)) <= bare
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
     def test_alpha_z_z1_state_packs_upper_triangles(self, n):
