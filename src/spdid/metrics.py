@@ -35,10 +35,11 @@ decides that once and binds the entry in :meth:`MetricSpec.prepare` and
 trace first, exact ties by the states' bytes), so k(a, b) and k(b, a) are the
 same bits and a sweep may transpose one direction into the other.
 
-At z = 1 the alpha_z trace needs no eigensolve: by cyclicity,
-tr(B^{a/2} A^{1-a} B^{a/2}) = tr(A^{1-a} B^a) = <A^{1-a}, B^a>_F, O(n^2) row
-dot products of two powers that are prepared once per matrix. Both are
-symmetric, so each keeps only its upper triangle, packed into about n/2 rows.
+euclid and log are Frobenius norms, and at z = 1 the alpha_z trace needs no eigensolve:
+by cyclicity, tr(B^{a/2} A^{1-a} B^{a/2}) = <A^{1-a}, B^a>_F. Their states keep each
+symmetric matrix :func:`_pack`ed into n//2 + 1 rows of n (the strict upper triangle row by
+row, zero-padded, then the diagonal); :func:`_packed_inner` sums row dot products without
+BLAS, so those cells are the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -84,15 +85,39 @@ def _clamp_negative(value: float, scale: float) -> float:
     return 0.0
 
 
+@functools.cache
+def _strict_upper(n: int) -> np.ndarray:
+    """The read-only mask of an order-n matrix's strict upper triangle."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _pack(x: np.ndarray) -> np.ndarray:
+    """Symmetric x as n//2 + 1 rows of n: strict upper triangle, zero-padded, then diagonal."""
+    n = len(x)
+    flat = np.zeros((n // 2 + 1) * n)
+    flat[: n * (n - 1) // 2], flat[-n:] = x[_strict_upper(n)], np.diagonal(x)
+    return flat.reshape(-1, n)
+
+
+def _packed_inner(x: np.ndarray, y: np.ndarray) -> float:
+    """<X, Y>_F from two `_pack`ed arrays: the diagonal row's dot plus twice the triangle
+    rows' (doubling is exact), as row dot products that call no BLAS."""
+    rows = np.einsum("ij,ij->i", x, y)
+    return float(rows[-1] + 2.0 * rows[:-1].sum())
+
+
 def _frobenius(x: np.ndarray, y: np.ndarray) -> float:
-    """||x - y||_F. Only where the plain norm's squares overflow is it recomputed from the
+    """||X - Y||_F of `_pack`ed X, Y. Where the squares overflow it is recomputed from the
     difference scaled by the power of two that puts max |d| in [0.5, 1), as `_triangle` does."""
     with np.errstate(over="ignore"):
         d = x - y
-        norm = float(np.linalg.norm(d))
-        if not np.isfinite(norm):
+        norm = math.sqrt(_packed_inner(d, d))
+        if not math.isfinite(norm):
             e = int(np.frexp(np.abs(d).max())[1])
-            norm = float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
+            d = np.ldexp(d, -e)
+            norm = float(np.ldexp(math.sqrt(_packed_inner(d, d)), e))
     return norm
 
 
@@ -107,7 +132,7 @@ def _triangle(a: SpdMatrix) -> tuple[np.ndarray, float]:
     overflows or underflows, and elsewhere the bits are those of the unscaled formula."""
     if a.n < 3:
         raise DegenerateVariance(f"pearson needs order >= 3, got {a.n}")
-    x = a.entries[np.triu_indices(a.n, k=1)]
+    x = a.entries[_strict_upper(a.n)]
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     xc = x - x.mean()
     return xc, float(np.sqrt(xc @ xc))
@@ -208,19 +233,12 @@ def alpha_procrustes(a: SpdMatrix, b: SpdMatrix, alpha: float) -> float:
 
 def _alpha_z_prepare(a: SpdMatrix, alpha: float, z: float) -> tuple[float, np.ndarray, np.ndarray]:
     """(tr A, A^{(1-a)/z}, A^{a/2z}): the powers A takes as the first and as the second
-    argument, so one state serves both directions. At z = 1 they are A^{1-a} and A^a,
-    each as its upper triangle packed row by row into ceil((n + 1) / 2) rows of n, the
-    first with its off-diagonal doubled."""
+    argument, so one state serves both directions; at z = 1, A^{1-a} and A^a, `_pack`ed."""
     lam, vec = eig_sym(a)
     probe = spectrum_map(vec, lam ** ((1.0 - alpha) / z))
     if z < 1.0:
         return a.trace, probe, spectrum_map(vec, lam ** (alpha / (2.0 * z)))
-    # both powers are symmetric, so upper triangles carry <A^{1-a}, B^a>_F; doubling is exact
-    upper = np.triu(np.ones((a.n, a.n), dtype=bool))
-    packed = np.zeros((2, a.n // 2 + 1, a.n))
-    packed[0].flat[: upper.sum()] = np.where(np.eye(a.n, dtype=bool), probe, 2.0 * probe)[upper]
-    packed[1].flat[: upper.sum()] = spectrum_map(vec, lam ** alpha)[upper]
-    return a.trace, packed[0], packed[1]
+    return a.trace, _pack(probe), _pack(spectrum_map(vec, lam ** alpha))
 
 
 def _alpha_z_region(alpha: float, z: float) -> None:
@@ -236,11 +254,8 @@ def _alpha_z_raw(sa: tuple, sb: tuple, alpha: float, z: float) -> float:
     """The divergence before round-off negatives are clamped."""
     (tr_a, a_pow, _), (tr_b, _, b_pow) = sa, sb
     if z == 1.0:
-        # tr Q = <A^{1-a}, B^a>_F: the packed upper triangles' row dot products, summed
-        # pairwise (the doubled off-diagonal stands for the lower triangle). Less round-off
-        # than one dot of the flattened triangles, and the same bits at any BLAS thread
-        # count. A trace of a product of SPD matrices is > 0.
-        q = float(np.einsum("ij,ij->i", a_pow, b_pow).sum())
+        # tr Q = <A^{1-a}, B^a>_F; a trace of a product of SPD matrices is > 0
+        q = _packed_inner(a_pow, b_pow)
         if not (np.isfinite(q) and q > 0.0):
             raise NumericalError(f"alpha_z trace term {q:.6g} is not finite and positive")
     else:
@@ -299,9 +314,9 @@ KERNELS: dict[str, Kernel] = {
     "alpha_pro": Kernel(_alpha_pro_prepare, _alpha_pro_pair, {"alpha": _check_alpha}),
     "bw": Kernel(lambda a: (a.trace, a.entries, sym_sqrt(a).entries), _bw_pair, {}),
     "ai": Kernel(_ai_prepare, _ai_pair, {}),
-    "log": Kernel(sym_log, _frobenius, {}),
+    "log": Kernel(lambda a: _pack(sym_log(a)), _frobenius, {}),
     "pearson": Kernel(_triangle, _pearson_pair, {}),
-    "euclid": Kernel(lambda a: a.entries, _frobenius, {}),
+    "euclid": Kernel(lambda a: _pack(a.entries), _frobenius, {}),
 }
 
 

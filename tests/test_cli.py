@@ -659,3 +659,22 @@ def test_blas_threads_move_only_last_digits(tmp_path):
             assert rep1[key] == rep2[key], (metric, key)
         for d1, d2 in zip(dists1, dists2):
             assert np.abs(d1 - d2).max() <= 1e-12 * np.abs(d1).max(), metric
+
+
+def test_frobenius_norms_bit_identical_across_blas_threads(tmp_path):
+    """euclid and log sum their packed states' row dot products without BLAS, so 1 and 2
+    BLAS threads in the sweep write the same D12.csv and D21.csv bytes at n=200."""
+    write_cohort(tmp_path / "data", res=200, n_subjects=8, seed=7, noise=0.05, spread=1.0)
+    for metric in ("euclid", "log"):
+        written = []
+        for threads in ("1", "2"):
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = tmp_path / f"{metric}-{threads}"
+            argv = base_argv(tmp_path / "data", out, metric=metric, res=200, n=8)
+            proc = subprocess.run(
+                [sys.executable, "-m", "spdid", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append([(out / "REST_200" / f).read_bytes() for f in ("D12.csv", "D21.csv")])
+        assert written[0] == written[1], metric

@@ -26,6 +26,7 @@ from spdid import (
     nearest_match_table,
     pearson_dist,
     regularize,
+    sym_log,
     sym_pow,
     validate_spd,
 )
@@ -680,16 +681,39 @@ class TestDispatch:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
     def test_alpha_z_z1_state_packs_upper_triangles(self, n):
-        # each z = 1 power keeps its upper triangle in ceil(n(n+1)/2 / n) zero-padded rows of n
+        # euclid's, log's and alpha_z z = 1's states keep each symmetric matrix's upper triangle
+        # in ceil(n(n+1)/2 / n) zero-padded rows of n; their inner products and norms are within
+        # 1e-14 of the same sums taken exactly over the full products of the unpacked matrices
         rng = np.random.default_rng(15)
         a, b = random_spd(rng, n), random_spd(rng, n)
+        size = math.ceil(n * (n + 1) / 2 / n) * n
+
+        def exact(x, y):
+            return math.fsum((x * y).ravel())
+
+        for kind, unpacked in (("euclid", lambda m: m.entries), ("log", sym_log)):
+            xa, xb = unpacked(a), unpacked(b)
+            pa, pb = (MetricSpec(kind).prepare(m).state for m in (a, b))
+            assert pa.size == pb.size == size, kind
+            inner = exact(xa, xb)
+            assert abs(metrics._packed_inner(pa, pb) - inner) <= 1e-14 * abs(inner), kind
+            norm = math.sqrt(exact(xa - xb, xa - xb))
+            assert abs(metrics._frobenius(pa, pb) - norm) <= 1e-14 * norm, kind
         (_, pa, ga), (_, pb, gb) = (metrics._alpha_z_prepare(m, 0.99, 1.0) for m in (a, b))
-        assert {p.size for p in (pa, ga, pb, gb)} == {math.ceil(n * (n + 1) / 2 / n) * n}
-        # with the linear terms zeroed, the raw divergence is -tr Q: within 1e-14 of tr Q
-        # summed exactly over the full elementwise product of the unpacked powers
-        exact = math.fsum((sym_pow(a, 1.0 - 0.99).entries * sym_pow(b, 0.99).entries).ravel())
-        q = -metrics._alpha_z_raw((0.0, pa, ga), (0.0, pb, gb), 0.99, 1.0)
-        assert abs(q - exact) <= 1e-14 * exact
+        assert {p.size for p in (pa, ga, pb, gb)} == {size}
+        exact_q = exact(sym_pow(a, 1.0 - 0.99).entries, sym_pow(b, 0.99).entries)
+        assert abs(metrics._packed_inner(pa, gb) - exact_q) <= 1e-14 * exact_q
+        # with the linear terms zeroed, the raw divergence is -tr Q
+        assert -metrics._alpha_z_raw((0.0, pa, ga), (0.0, pb, gb), 0.99, 1.0) == (
+            metrics._packed_inner(pa, gb)
+        )
+
+    @pytest.mark.parametrize("kind", ["euclid", "log"])
+    def test_frobenius_state_pickles_to_about_half_a_matrix(self, kind):
+        # at n = 200 the packed state pickles to at most 55% of an item holding the full matrix
+        m = random_spd(np.random.default_rng(17), 200)
+        full = metrics.Prepared(m.trace, np.zeros((200, 200)))
+        assert len(pickle.dumps(MetricSpec(kind).prepare(m))) <= 0.55 * len(pickle.dumps(full))
 
 
 class TestSharedProperties:
